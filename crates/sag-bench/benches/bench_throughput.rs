@@ -1,12 +1,12 @@
 //! Criterion bench for the batched end-to-end replay path: whole test days
-//! replayed through `AuditCycleEngine::replay_batch` over shared warm-start
-//! state, plus the isolated warm vs cold SSE comparison on the 5-type game.
+//! replayed through `AuditCycleEngine::replay` at the default shard count,
+//! plus the isolated warm vs cold SSE comparison on the 5-type game.
 //! This is the throughput counterpart of `bench_runtime.rs` (which measures
 //! one alert at a time).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use sag_bench::setup;
-use sag_core::engine::{AuditCycleEngine, EngineConfig};
+use sag_core::engine::{recommended_shards, AuditCycleEngine, EngineConfig, ReplayJob};
 use sag_core::sse::{SseCache, SseSolver};
 use sag_sim::{AlertLog, StreamConfig, StreamGenerator};
 use std::hint::black_box;
@@ -18,9 +18,14 @@ fn replay_throughput(c: &mut Criterion) {
     let mut generator = StreamGenerator::new(StreamConfig::paper_multi_type(7));
     let log = AlertLog::new(generator.generate_days(9));
     let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-    group.bench_function("replay_batch/7_types_3_days", |b| {
-        let groups = log.rolling_groups(6);
-        b.iter(|| black_box(engine.replay_batch(black_box(&groups)).unwrap().len()));
+    group.bench_function("replay/7_types_3_days", |b| {
+        let jobs: Vec<ReplayJob<'_>> = log
+            .rolling_groups(6)
+            .into_iter()
+            .map(|(history, test_day)| ReplayJob::new(history, test_day))
+            .collect();
+        let shards = recommended_shards(jobs.len());
+        b.iter(|| black_box(engine.replay(black_box(&jobs), shards).unwrap().len()));
     });
 
     // Warm vs cold SSE on the 5-type scaling game (the acceptance metric).

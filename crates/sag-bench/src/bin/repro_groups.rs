@@ -4,7 +4,7 @@
 //!
 //! Usage: `cargo run --release -p sag-bench --bin repro_groups [seed] [total_days]`
 
-use sag_bench::{report, rolling_groups_parallel, FigureExperimentConfig};
+use sag_bench::{report, rolling_group_summaries, FigureExperimentConfig};
 use sag_core::metrics::ExperimentSummary;
 
 fn main() {
@@ -22,7 +22,7 @@ fn main() {
         } else {
             FigureExperimentConfig::figure3(seed)
         };
-        let groups = rolling_groups_parallel(&config, total_days);
+        let groups = rolling_group_summaries(&config, total_days);
         println!(
             "{:<6} {:>8} {:>8} {:>12} {:>12} {:>12} {:>10}",
             "group", "day", "alerts", "OSSP", "online SSE", "offline SSE", "OSSP>=SSE"

@@ -1,6 +1,6 @@
 //! Replay the full scenario registry and write `BENCH_2.json`: per-scenario
 //! throughput, warm-start hit rate and utility profile, plus the
-//! sharded-vs-sequential wall-clock comparison of `replay_sharded`.
+//! sharded-vs-sequential wall-clock comparison of `AuditCycleEngine::replay`.
 //!
 //! Usage:
 //!   `cargo run --release -p sag-bench --bin repro_scenarios [seed] [out.json] [shards]`

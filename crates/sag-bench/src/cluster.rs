@@ -4,7 +4,7 @@
 //! Records two scaling curves over shard counts 1/2/4/8 on the same
 //! tenant fleet:
 //!
-//! * **Sharded replay** — `run_scenario_sized` at N shards: the engine's
+//! * **Sharded replay** — `run_scenario` at N shards: the engine's
 //!   batch driver, whose fan-out needs the `parallel` feature to use more
 //!   than one core.
 //! * **Cluster throughput** — the fleet consistent-hashed across N
@@ -22,7 +22,9 @@
 
 use sag_cluster::ShardRouter;
 use sag_core::CycleResult;
-use sag_scenarios::{run_scenario_sized, tenant_fleet_cluster_parts, FleetTenant, Scenario};
+use sag_scenarios::{
+    run_scenario, tenant_fleet_cluster_parts, FleetTenant, ReplayOptions, Scenario,
+};
 use sag_service::{AuditService, Request, Response};
 use std::time::Instant;
 
@@ -184,8 +186,12 @@ pub fn cluster_scaling_report(
         let mut replay_cycles: Vec<CycleResult> = Vec::new();
         let mut cluster_results: Vec<Vec<CycleResult>> = Vec::new();
         for _ in 0..2 {
-            let run = run_scenario_sized(scenario, seed, shards, history_days, test_days)
-                .expect("cluster bench replay");
+            let options = ReplayOptions {
+                history_days,
+                test_days,
+                ..ReplayOptions::new(scenario, seed)
+            };
+            let run = run_scenario(scenario, &options, shards).expect("cluster bench replay");
             replay_wall = replay_wall.min(run.wall_seconds);
             replay_cycles = run.cycles.into_iter().map(untimed).collect();
 

@@ -151,7 +151,10 @@ pub fn run_figure_experiment(config: &FigureExperimentConfig) -> ExperimentOutpu
         // extra historical days are the earlier test days themselves.
         let mut window: Vec<DayLog> = history.iter().skip(offset).cloned().collect();
         window.extend(test_days.iter().take(offset).cloned());
-        cycles.push(engine.run_day(&window, test_day).expect("cycle replays"));
+        let cycle = engine
+            .open_day(&window, None)
+            .and_then(|s| s.drive(test_day));
+        cycles.push(cycle.expect("cycle replays"));
     }
 
     let series = cycles.iter().map(UtilitySeries::from_cycle).collect();
@@ -194,7 +197,8 @@ pub fn runtime_experiment(seed: u64, history_days: u32) -> RuntimeStats {
         AuditCycleEngine::new(EngineConfig::paper_multi_type()).expect("valid configuration");
     let started = Instant::now();
     let result = engine
-        .run_day(&history, &test_days.remove(0))
+        .open_day(&history, None)
+        .and_then(|session| session.drive(&test_days.remove(0)))
         .expect("cycle replays");
     let total_millis = started.elapsed().as_secs_f64() * 1e3;
     let mean_micros = result.mean_solve_micros().unwrap_or(0.0);
@@ -238,7 +242,8 @@ pub fn rollback_ablation(seed: u64, history_days: u32, test_days: u32) -> Rollba
         let engine = AuditCycleEngine::new(config).expect("valid configuration");
         let cycles: Vec<CycleResult> = tests
             .iter()
-            .map(|day| engine.run_day(&history, day).expect("cycle replays"))
+            .map(|day| engine.open_day(&history, None).and_then(|s| s.drive(day)))
+            .map(|cycle| cycle.expect("cycle replays"))
             .collect();
         let finals: Vec<f64> = cycles
             .iter()

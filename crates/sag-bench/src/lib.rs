@@ -39,7 +39,7 @@ pub use scenario_suite::{
     render_suite_json, scenario_suite, ScenarioReport, ScenarioSuiteReport, ShardingReport,
     SuiteConfig,
 };
-pub use sweeps::{budget_sweep, rolling_groups_parallel, BudgetSweepPoint, GroupResult};
+pub use sweeps::{budget_sweep, rolling_group_summaries, BudgetSweepPoint, GroupResult};
 pub use throughput::{
     streaming_experiment, throughput_experiment, warm_vs_cold_5type, StreamingLatencyReport,
     ThroughputConfig, ThroughputReport,

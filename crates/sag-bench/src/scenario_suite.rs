@@ -4,7 +4,7 @@
 //! sharded batch driver and reports, per scenario: throughput, warm-start
 //! hit rate, simplex work, and the utility profile of the three strategies.
 //! A sharding section times an identical multi-day batch at one shard
-//! vs. many, quantifying the multi-core scaling of `replay_sharded` (whose
+//! vs. many, quantifying the multi-core scaling of `replay` (whose
 //! results are bitwise shard-count-independent, so the comparison is pure
 //! wall-clock), and a `service_concurrent` section times a multi-tenant
 //! `AuditService` fleet concurrently vs. serially under the same
@@ -20,7 +20,8 @@ use crate::cluster::{cluster_scaling_report, ClusterScalingReport};
 use sag_core::engine::EngineBuilder;
 use sag_core::{CycleResult, Result};
 use sag_scenarios::{
-    find_scenario, registry, run_scenario_service, run_scenario_sized, Scenario, ScenarioRun,
+    find_scenario, registry, run_scenario, run_scenario_service, ReplayOptions, Scenario,
+    ScenarioRun,
 };
 use sag_service::{AuditService, DurabilityOptions, Request, Response, TenantId};
 use std::fmt::Write as _;
@@ -102,7 +103,7 @@ pub struct ShardingReport {
     /// `std::thread::available_parallelism()` on the measuring host.
     pub threads_available: usize,
     /// Whether this binary was built with the `parallel` feature — without
-    /// it `replay_sharded` is sequential and the "speedup" is pure noise.
+    /// it `replay` is sequential and the "speedup" is pure noise.
     pub parallel_feature: bool,
     /// Wall-clock seconds of the single-shard leg.
     pub seq_wall_seconds: f64,
@@ -238,24 +239,27 @@ impl SuiteConfig {
 /// Propagates engine and solver errors (which indicate workspace bugs for
 /// registered scenarios).
 pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
+    let options = |scenario: &dyn Scenario| {
+        let mut options = ReplayOptions::new(scenario, config.seed);
+        options.history_days = config.history_days.unwrap_or(options.history_days);
+        options.test_days = config.test_days.unwrap_or(options.test_days);
+        options
+    };
     let mut scenarios = Vec::new();
     for scenario in registry() {
-        let run = run_scenario_sized(
+        let run = run_scenario(
             scenario.as_ref(),
-            config.seed,
+            &options(scenario.as_ref()),
             config.shards,
-            config
-                .history_days
-                .unwrap_or_else(|| scenario.history_days()),
-            config.test_days.unwrap_or_else(|| scenario.test_days()),
         )?;
         scenarios.push(ScenarioReport::from_run(&run, scenario.description()));
     }
 
     let baseline = find_scenario("paper-baseline").expect("baseline is registered");
-    let history_days = config
-        .history_days
-        .unwrap_or_else(|| baseline.history_days());
+    let sharding_options = ReplayOptions {
+        test_days: config.sharding_jobs,
+        ..options(baseline.as_ref())
+    };
     let sharded_shards = config
         .shards
         .max(4)
@@ -266,28 +270,16 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
     let mut seq_wall = f64::INFINITY;
     let mut sharded_wall = f64::INFINITY;
     for _ in 0..3 {
-        let seq = run_scenario_sized(
-            baseline.as_ref(),
-            config.seed,
-            1,
-            history_days,
-            config.sharding_jobs,
-        )?;
+        let seq = run_scenario(baseline.as_ref(), &sharding_options, 1)?;
         seq_wall = seq_wall.min(seq.wall_seconds);
-        let sharded = run_scenario_sized(
-            baseline.as_ref(),
-            config.seed,
-            sharded_shards,
-            history_days,
-            config.sharding_jobs,
-        )?;
+        let sharded = run_scenario(baseline.as_ref(), &sharding_options, sharded_shards)?;
         sharded_wall = sharded_wall.min(sharded.wall_seconds);
     }
     let threads_available = std::thread::available_parallelism().map_or(1, usize::from);
     let parallel_feature = cfg!(feature = "parallel");
     let note = if !parallel_feature {
         Some(
-            "built without the `parallel` feature: replay_sharded runs sequentially, \
+            "built without the `parallel` feature: replay runs sequentially, \
              expect speedup ~1.0"
                 .to_string(),
         )
@@ -316,34 +308,24 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
     // job), so this is a pure wall-clock comparison like the sharding one;
     // best-of-3 per leg for the same noise reasons.
     let tenants = config.service_tenants.max(1);
-    let service_test_days = config.test_days.unwrap_or(4);
+    let service_options = ReplayOptions {
+        test_days: config.test_days.unwrap_or(4),
+        ..options(baseline.as_ref())
+    };
     let workers = threads_available;
     let mut concurrent_wall = f64::INFINITY;
     let mut serial_wall = f64::INFINITY;
     let mut alerts = 0usize;
     let mut days_per_tenant = 0usize;
     for _ in 0..3 {
-        let concurrent = run_scenario_service(
-            baseline.as_ref(),
-            config.seed,
-            tenants,
-            workers,
-            history_days,
-            service_test_days,
-        )
-        .map_err(service_error_to_sag)?;
+        let concurrent =
+            run_scenario_service(baseline.as_ref(), &service_options, tenants, workers)
+                .map_err(service_error_to_sag)?;
         alerts = concurrent.alerts();
         days_per_tenant = concurrent.cycles.first().map_or(0, Vec::len);
         concurrent_wall = concurrent_wall.min(concurrent.wall_seconds);
-        let serial = run_scenario_service(
-            baseline.as_ref(),
-            config.seed,
-            tenants,
-            0,
-            history_days,
-            service_test_days,
-        )
-        .map_err(service_error_to_sag)?;
+        let serial = run_scenario_service(baseline.as_ref(), &service_options, tenants, 0)
+            .map_err(service_error_to_sag)?;
         serial_wall = serial_wall.min(serial.wall_seconds);
     }
     let service_note = if threads_available == 1 {
@@ -386,7 +368,7 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
         baseline.as_ref(),
         config.seed,
         config.cluster_tenants,
-        history_days,
+        service_options.history_days,
         config.test_days.unwrap_or(2),
     );
 

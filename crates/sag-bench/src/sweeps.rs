@@ -2,11 +2,13 @@
 //! ablation sweep over the audit budget.
 //!
 //! These are the workloads that benefit from parallelism: every
-//! (history, test-day) group is independent, so the runner fans the groups
-//! out over `std::thread::scope` threads.
+//! (history, test-day) group is independent, so the runner shards the
+//! groups over the engine's worker pool.
 
 use crate::experiments::FigureExperimentConfig;
-use sag_core::engine::{AuditCycleEngine, CycleResult, EngineConfig};
+use sag_core::engine::{
+    recommended_shards, AuditCycleEngine, CycleResult, EngineConfig, ReplayJob,
+};
 use sag_core::metrics::ExperimentSummary;
 use sag_sim::{AlertLog, StreamGenerator};
 
@@ -22,58 +24,30 @@ pub struct GroupResult {
 }
 
 /// Run the paper's rolling-group evaluation (56 days, 41-day history ⇒ 15
-/// groups), processing groups in parallel.
+/// groups) through the engine's sharded [`AuditCycleEngine::replay`].
 ///
 /// # Panics
 ///
 /// Panics if the engine rejects the paper configuration (a workspace bug, not
 /// a user error).
 #[must_use]
-pub fn rolling_groups_parallel(
+pub fn rolling_group_summaries(
     config: &FigureExperimentConfig,
     total_days: u32,
 ) -> Vec<GroupResult> {
     let mut generator = StreamGenerator::new(config_stream(config));
     let log = AlertLog::new(generator.generate_days(total_days));
     let engine = AuditCycleEngine::new(config_engine(config)).expect("paper configuration");
-    let history_len = config.history_days as usize;
-    let groups = log.rolling_groups(history_len);
-
-    let num_threads = std::thread::available_parallelism()
-        .map_or(4, usize::from)
-        .clamp(1, 8);
-    let results: Vec<(usize, CycleResult)> = std::thread::scope(|scope| {
-        let chunks: Vec<Vec<(usize, &[sag_sim::DayLog], &sag_sim::DayLog)>> = {
-            let mut buckets: Vec<Vec<_>> = (0..num_threads).map(|_| Vec::new()).collect();
-            for (i, (history, test)) in groups.iter().enumerate() {
-                buckets[i % num_threads].push((i, *history, *test));
-            }
-            buckets
-        };
-        let engine = &engine;
-        let handles: Vec<_> = chunks
-            .into_iter()
-            .map(|chunk| {
-                scope.spawn(move || {
-                    chunk
-                        .into_iter()
-                        .map(|(i, history, test)| {
-                            (i, engine.run_day(history, test).expect("cycle replays"))
-                        })
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        let mut all: Vec<(usize, CycleResult)> = handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("worker thread"))
-            .collect();
-        all.sort_by_key(|(i, _)| *i);
-        all
-    });
-
-    results
+    let jobs: Vec<ReplayJob<'_>> = log
+        .rolling_groups(config.history_days as usize)
         .into_iter()
+        .map(|(history, test_day)| ReplayJob::new(history, test_day))
+        .collect();
+    engine
+        .replay(&jobs, recommended_shards(jobs.len()))
+        .expect("cycles replay")
+        .into_iter()
+        .enumerate()
         .map(|(group, cycle)| GroupResult {
             group,
             test_day: cycle.day,
@@ -116,7 +90,8 @@ pub fn budget_sweep(config: &FigureExperimentConfig, budgets: &[f64]) -> Vec<Bud
             let engine = AuditCycleEngine::new(engine_config).expect("valid configuration");
             let cycles: Vec<CycleResult> = test_days
                 .iter()
-                .map(|day| engine.run_day(&history, day).expect("cycle replays"))
+                .map(|day| engine.open_day(&history, None).and_then(|s| s.drive(day)))
+                .map(|cycle| cycle.expect("cycle replays"))
                 .collect();
             let summary = ExperimentSummary::from_cycles(&cycles);
             BudgetSweepPoint {
@@ -159,7 +134,7 @@ mod tests {
             test_days: 1,
             single_type: true,
         };
-        let results = rolling_groups_parallel(&config, 14);
+        let results = rolling_group_summaries(&config, 14);
         assert_eq!(results.len(), 2);
         assert_eq!(results[0].group, 0);
         assert_eq!(results[0].test_day, 12);
@@ -178,7 +153,7 @@ mod tests {
             test_days: 1,
             single_type: true,
         };
-        let parallel = rolling_groups_parallel(&config, 12);
+        let parallel = rolling_group_summaries(&config, 12);
 
         // Sequential reference using the same primitives.
         let mut generator = StreamGenerator::new(config_stream(&config));
@@ -188,7 +163,8 @@ mod tests {
             .rolling_groups(10)
             .into_iter()
             .map(|(h, t)| {
-                ExperimentSummary::from_cycles(std::slice::from_ref(&engine.run_day(h, t).unwrap()))
+                let cycle = engine.open_day(h, None).unwrap().drive(t).unwrap();
+                ExperimentSummary::from_cycles(std::slice::from_ref(&cycle))
             })
             .collect();
 

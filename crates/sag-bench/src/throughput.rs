@@ -29,13 +29,11 @@
 //! `repro_throughput` binary.
 
 use crate::setup;
-use sag_core::sse::{SseCache, SseSolver};
+use sag_core::sse::{SseCache, SseCacheTotals, SseSolver};
 use sag_core::CycleResult;
 use sag_lp::{LpProblem, ReferenceWorkspace, SimplexWorkspace};
 use sag_scenarios::library::GlobalMesh;
-use sag_scenarios::{
-    find_scenario, run_scenario_sized, run_scenario_sized_with, stream_scenario_sized,
-};
+use sag_scenarios::{find_scenario, run_scenario, stream_scenario, ReplayOptions, Scenario};
 use std::fmt::Write as _;
 use std::time::Instant;
 
@@ -65,6 +63,21 @@ pub struct ThroughputConfig {
 }
 
 impl ThroughputConfig {
+    /// The configured scenario and its replay options at this run's seed
+    /// and layout.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the configured scenario is not registered.
+    fn replay_options(&self) -> (Box<dyn Scenario>, ReplayOptions) {
+        let scenario = find_scenario(self.scenario)
+            .unwrap_or_else(|| panic!("scenario {:?} is not registered", self.scenario));
+        let mut options = ReplayOptions::new(scenario.as_ref(), self.seed);
+        options.history_days = self.history_days.unwrap_or(options.history_days);
+        options.test_days = self.test_days.unwrap_or(options.test_days);
+        (scenario, options)
+    }
+
     /// The default workload: the `paper-baseline` scenario (the paper's
     /// 7-type game over a 15-day log) exactly as registered.
     #[must_use]
@@ -223,18 +236,12 @@ pub struct ThroughputReport {
 /// than user errors.
 #[must_use]
 pub fn throughput_experiment(config: &ThroughputConfig) -> ThroughputReport {
-    let scenario = find_scenario(config.scenario)
-        .unwrap_or_else(|| panic!("scenario {:?} is not registered", config.scenario));
-    let history_days = config
-        .history_days
-        .unwrap_or_else(|| scenario.history_days());
-    let test_days = config.test_days.unwrap_or_else(|| scenario.test_days());
+    let (scenario, options) = config.replay_options();
     // Always a single shard: BENCH_1 tracks the *solve chain* (per-alert
     // latency, pivots, warm hits) and must stay comparable across machines
     // with different core counts; multi-core scaling is BENCH_2's sharding
     // section.
-    let run = run_scenario_sized(scenario.as_ref(), config.seed, 1, history_days, test_days)
-        .expect("scenario replay succeeds");
+    let run = run_scenario(scenario.as_ref(), &options, 1).expect("scenario replay succeeds");
 
     let streaming = streaming_experiment(config);
     let (warm_micros_5type, cold_micros_5type) = warm_vs_cold_5type(config.comparison_solves);
@@ -375,10 +382,11 @@ pub fn epsilon_mode_experiment(
     history_days: u32,
     test_days: u32,
 ) -> EpsilonModeReport {
-    let run = run_scenario_sized_with(&GlobalMesh, seed, 1, history_days, test_days, |engine| {
-        engine.epsilon = epsilon;
-    })
-    .expect("global-mesh replay succeeds");
+    let mut options = ReplayOptions::new(&GlobalMesh, seed);
+    options.history_days = history_days;
+    options.test_days = test_days;
+    options.config.epsilon = epsilon;
+    let run = run_scenario(&GlobalMesh, &options, 1).expect("global-mesh replay succeeds");
     let totals = run.sse_totals();
     let decisions = totals.eps_skipped_lps + totals.pruned_lps + totals.lp_solves;
     EpsilonModeReport {
@@ -411,26 +419,15 @@ pub fn epsilon_mode_experiment(
 /// Panics if the configured scenario is not registered or a replay fails.
 #[must_use]
 pub fn pruning_experiment(config: &ThroughputConfig) -> PruningReport {
-    let scenario = find_scenario(config.scenario)
-        .unwrap_or_else(|| panic!("scenario {:?} is not registered", config.scenario));
-    let history_days = config
-        .history_days
-        .unwrap_or_else(|| scenario.history_days());
-    let test_days = config.test_days.unwrap_or_else(|| scenario.test_days());
+    let (scenario, mut options) = config.replay_options();
     // Best of three per arm: each leg is tens of milliseconds, so one
     // scheduler hiccup would otherwise dominate the reported ratio.
     let mut best: [Option<sag_scenarios::ScenarioRun>; 2] = [None, None];
     for _ in 0..3 {
         for (slot, pruning) in best.iter_mut().zip([true, false]) {
-            let run = run_scenario_sized_with(
-                scenario.as_ref(),
-                config.seed,
-                1,
-                history_days,
-                test_days,
-                |engine| engine.pruning = pruning,
-            )
-            .expect("scenario replay succeeds");
+            options.config.pruning = pruning;
+            let run =
+                run_scenario(scenario.as_ref(), &options, 1).expect("scenario replay succeeds");
             let faster = slot
                 .as_ref()
                 .is_none_or(|prev| run.wall_seconds < prev.wall_seconds);
@@ -475,14 +472,9 @@ pub fn pruning_experiment(config: &ThroughputConfig) -> PruningReport {
 /// (workspace bugs rather than user errors).
 #[must_use]
 pub fn streaming_experiment(config: &ThroughputConfig) -> StreamingLatencyReport {
-    let scenario = find_scenario(config.scenario)
-        .unwrap_or_else(|| panic!("scenario {:?} is not registered", config.scenario));
-    let history_days = config
-        .history_days
-        .unwrap_or_else(|| scenario.history_days());
-    let test_days = config.test_days.unwrap_or_else(|| scenario.test_days());
-    let streamed = stream_scenario_sized(scenario.as_ref(), config.seed, history_days, test_days)
-        .expect("streamed scenario replay succeeds");
+    let (scenario, options) = config.replay_options();
+    let streamed =
+        stream_scenario(scenario.as_ref(), &options).expect("streamed scenario replay succeeds");
 
     let mut micros: Vec<f64> = streamed
         .push_nanos
@@ -547,15 +539,9 @@ fn summarize(
         latencies.iter().map(|&v| v as f64).sum::<f64>() / alerts as f64
     };
 
-    let mut lp_solves = 0u64;
-    let mut pivots = 0u64;
-    let mut warm_attempts = 0u64;
-    let mut warm_hits = 0u64;
+    let mut totals = SseCacheTotals::default();
     for c in cycles {
-        lp_solves += c.sse_totals.lp_solves;
-        pivots += c.sse_totals.pivots;
-        warm_attempts += c.sse_totals.warm_attempts;
-        warm_hits += c.sse_totals.warm_hits;
+        totals += c.sse_totals;
     }
 
     ThroughputReport {
@@ -569,16 +555,8 @@ fn summarize(
         p50_micros: percentile(0.50),
         p99_micros: percentile(0.99),
         mean_micros,
-        pivots_per_lp: if lp_solves == 0 {
-            0.0
-        } else {
-            pivots as f64 / lp_solves as f64
-        },
-        warm_hit_rate: if warm_attempts == 0 {
-            0.0
-        } else {
-            warm_hits as f64 / warm_attempts as f64
-        },
+        pivots_per_lp: totals.pivots_per_lp(),
+        warm_hit_rate: totals.warm_hit_rate(),
         streaming,
         warm_micros_5type,
         cold_micros_5type,

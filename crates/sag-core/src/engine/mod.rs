@@ -1,5 +1,5 @@
-//! The online audit-cycle engine, layered as a streaming core plus batch
-//! replay wrappers.
+//! The online audit-cycle engine, layered as a streaming core plus one batch
+//! replay driver.
 //!
 //! The paper's contribution is *online* signaling: the auditor commits to a
 //! warning decision the moment each alert arrives. The engine mirrors that
@@ -37,12 +37,9 @@
 //! * [`session`] — [`AuditCycleEngine`] and the streaming [`Session`],
 //!   with its borrowed ([`DaySession`]) and owned ([`OwnedDaySession`])
 //!   forms;
-//! * [`replay`] — [`ReplayJob`] and the batch drivers
-//!   ([`run_day`](AuditCycleEngine::run_day),
-//!   [`replay_batch`](AuditCycleEngine::replay_batch),
-//!   [`replay_sharded`](AuditCycleEngine::replay_sharded),
-//!   [`run_groups`](AuditCycleEngine::run_groups)), all thin wrappers that
-//!   stream recorded days through sessions;
+//! * [`replay`] — [`ReplayJob`] and the batch driver
+//!   [`replay`](AuditCycleEngine::replay), which runs every job through
+//!   [`Session::drive`] over shards of the engine's worker pool;
 //! * [`outcome`] — the per-alert [`AlertOutcome`] and per-day
 //!   [`CycleResult`].
 
@@ -76,11 +73,20 @@ mod tests {
         (history, tests.remove(0))
     }
 
+    /// Replay one recorded day through a fresh session.
+    fn replay_day(engine: &AuditCycleEngine, history: &[DayLog], day: &DayLog) -> CycleResult {
+        engine.open_day(history, None).unwrap().drive(day).unwrap()
+    }
+
+    fn jobs<'a>(groups: &[(&'a [DayLog], &'a DayLog)]) -> Vec<ReplayJob<'a>> {
+        groups.iter().map(|&(h, t)| ReplayJob::new(h, t)).collect()
+    }
+
     #[test]
     fn single_type_day_ossp_dominates_baselines() {
         let (history, test_day) = single_type_setup(42);
         let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         assert_eq!(result.len(), test_day.len());
         assert!(!result.is_empty());
         // Theorem 2 per alert: OSSP never worse than online SSE.
@@ -102,7 +108,7 @@ mod tests {
     fn budgets_only_decrease_and_stay_nonnegative() {
         let (history, test_day) = single_type_setup(7);
         let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         let budget = engine.config().game.budget;
         let mut last_ossp = budget;
         let mut last_online = budget;
@@ -120,7 +126,7 @@ mod tests {
     fn offline_series_is_flat() {
         let (history, test_day) = single_type_setup(9);
         let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         let first = result.outcomes[0].offline_sse_utility;
         for o in &result.outcomes {
             assert_eq!(o.offline_sse_utility, first);
@@ -132,7 +138,7 @@ mod tests {
     fn multi_type_day_respects_theorem2_and_applies_sag_to_best_type() {
         let (history, test_day) = multi_type_setup(11);
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         assert!((result.fraction_ossp_not_worse() - 1.0).abs() < 1e-12);
         // The SAG is applied to at least some alerts (those of the best type)
         // and skipped for others.
@@ -155,11 +161,8 @@ mod tests {
         let mut config = EngineConfig::paper_single_type();
         config.accounting = BudgetAccounting::Sampled { seed: 5 };
         let engine = AuditCycleEngine::new(config.clone()).unwrap();
-        let a = engine.run_day(&history, &test_day).unwrap();
-        let b = AuditCycleEngine::new(config)
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let a = replay_day(&engine, &history, &test_day);
+        let b = replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day);
         // Everything except the wall-clock solve time must be identical
         // between the two runs (the RNG seed pins the sampled signals).
         assert_eq!(a.len(), b.len());
@@ -203,7 +206,10 @@ mod tests {
         let days = gen.generate_days(25);
         let log = AlertLog::new(days);
         let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-        let results = engine.run_groups(&log, 22).unwrap();
+        let groups = log.rolling_groups(22);
+        let results = engine
+            .replay(&jobs(&groups), recommended_shards(groups.len()))
+            .unwrap();
         assert_eq!(results.len(), 3);
         for r in &results {
             assert!(!r.is_empty());
@@ -219,10 +225,12 @@ mod tests {
         let groups = log.rolling_groups(11);
         assert_eq!(groups.len(), 3);
 
-        let batch = engine.replay_batch(&groups).unwrap();
+        let batch = engine
+            .replay(&jobs(&groups), recommended_shards(groups.len()))
+            .unwrap();
         assert_eq!(batch.len(), groups.len());
         for ((history, test), cycle) in groups.iter().zip(&batch) {
-            let reference = engine.run_day(history, test).unwrap();
+            let reference = replay_day(&engine, history, test);
             assert_eq!(cycle.len(), reference.len());
             assert_eq!(cycle.day, reference.day);
             for (a, b) in cycle.outcomes.iter().zip(&reference.outcomes) {
@@ -249,7 +257,7 @@ mod tests {
             let mut config = EngineConfig::paper_multi_type();
             config.backend = backend;
             let engine = AuditCycleEngine::new(config).unwrap();
-            let batch = untimed(engine.run_day(&history, &test_day).unwrap());
+            let batch = untimed(replay_day(&engine, &history, &test_day));
 
             let mut session = engine.open_day(&history, None).unwrap();
             for alert in test_day.alerts() {
@@ -269,7 +277,7 @@ mod tests {
         let (history, test_day) = multi_type_setup(67);
         let engine =
             std::sync::Arc::new(AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap());
-        let reference = untimed(engine.run_day(&history, &test_day).unwrap());
+        let reference = untimed(replay_day(&engine, &history, &test_day));
 
         // An owned session has no lifetime: it can sit in a map keyed by
         // tenant and be moved wholesale across a thread boundary.
@@ -302,10 +310,7 @@ mod tests {
         let run = |backend| {
             let mut config = EngineConfig::paper_multi_type();
             config.backend = backend;
-            AuditCycleEngine::new(config)
-                .unwrap()
-                .run_day(&history, &test_day)
-                .unwrap()
+            replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day)
         };
         let auto = run(SolverBackendKind::Auto);
         let lp = run(SolverBackendKind::SimplexLp);
@@ -316,16 +321,14 @@ mod tests {
     #[test]
     fn closed_form_backend_streams_single_type_days() {
         let (history, test_day) = single_type_setup(37);
-        let auto = AuditCycleEngine::new(EngineConfig::paper_single_type())
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let auto = replay_day(
+            &AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap(),
+            &history,
+            &test_day,
+        );
         let mut config = EngineConfig::paper_single_type();
         config.backend = SolverBackendKind::ClosedForm;
-        let closed = AuditCycleEngine::new(config)
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let closed = replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day);
         // Auto dispatches single-type games to the same closed form.
         assert_eq!(closed.sse_totals.lp_solves, 0);
         assert_eq!(closed.sse_totals.fast_path_solves as usize, closed.len());
@@ -337,7 +340,7 @@ mod tests {
         let (history, _) = multi_type_setup(43);
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
         let empty_day = DayLog::new(20, Vec::new());
-        let result = engine.run_day(&history, &empty_day).unwrap();
+        let result = replay_day(&engine, &history, &empty_day);
         assert!(result.is_empty());
         assert_eq!(result.day, 20);
         // Zero-alert days surface `None` instead of a silent 0.0 mean.
@@ -358,26 +361,26 @@ mod tests {
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
         let groups = log.rolling_groups(10);
         assert_eq!(groups.len(), 6);
-        let jobs: Vec<ReplayJob<'_>> = groups.iter().map(|&(h, t)| ReplayJob::new(h, t)).collect();
+        let jobs = jobs(&groups);
 
         let reference: Vec<CycleResult> = engine
-            .replay_sharded(&jobs, 1)
+            .replay(&jobs, 1)
             .unwrap()
             .into_iter()
             .map(untimed)
             .collect();
         for shards in [2, 3, 4, 6, 99] {
             let sharded: Vec<CycleResult> = engine
-                .replay_sharded(&jobs, shards)
+                .replay(&jobs, shards)
                 .unwrap()
                 .into_iter()
                 .map(untimed)
                 .collect();
             assert_eq!(reference, sharded, "shards = {shards}");
         }
-        // replay_batch is the same computation at the default shard count.
+        // The default shard count is the same computation.
         let batch: Vec<CycleResult> = engine
-            .replay_batch(&groups)
+            .replay(&jobs, recommended_shards(jobs.len()))
             .unwrap()
             .into_iter()
             .map(untimed)
@@ -390,7 +393,7 @@ mod tests {
         let (history, test_day) = multi_type_setup(41);
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
         let starved = engine
-            .replay_sharded(
+            .replay(
                 &[ReplayJob::with_budget(&history, &test_day, 0.0).unwrap()],
                 1,
             )
@@ -403,11 +406,11 @@ mod tests {
             assert!(o.coverage_online.abs() < 1e-9);
         }
         let default = engine
-            .replay_sharded(&[ReplayJob::new(&history, &test_day)], 1)
+            .replay(&[ReplayJob::new(&history, &test_day)], 1)
             .unwrap()
             .remove(0);
         let explicit = engine
-            .replay_sharded(
+            .replay(
                 &[
                     ReplayJob::with_budget(&history, &test_day, engine.config().game.budget)
                         .unwrap(),
@@ -440,10 +443,10 @@ mod tests {
             };
             assert!(
                 matches!(
-                    engine.replay_sharded(&[smuggled], 1),
+                    engine.replay(&[smuggled], 1),
                     Err(crate::SagError::InvalidConfig(_))
                 ),
-                "budget {bad} was accepted by replay_sharded"
+                "budget {bad} was accepted by replay"
             );
             // ... and by a directly opened session.
             assert!(matches!(
@@ -456,16 +459,18 @@ mod tests {
     #[test]
     fn signal_noise_degrades_ossp_towards_the_online_sse() {
         let (history, test_day) = multi_type_setup(47);
-        let clean = AuditCycleEngine::new(EngineConfig::paper_multi_type())
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let clean = replay_day(
+            &AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap(),
+            &history,
+            &test_day,
+        );
         let mut noisy_config = EngineConfig::paper_multi_type();
         noisy_config.signal_noise = 0.2;
-        let noisy = AuditCycleEngine::new(noisy_config)
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let noisy = replay_day(
+            &AuditCycleEngine::new(noisy_config).unwrap(),
+            &history,
+            &test_day,
+        );
         assert_eq!(clean.len(), noisy.len());
         assert!(
             noisy.mean_ossp_utility().unwrap() < clean.mean_ossp_utility().unwrap(),
@@ -488,10 +493,7 @@ mod tests {
         let (history, test_day) = multi_type_setup(53);
         let mut config = EngineConfig::paper_multi_type();
         config.forecast_decay = 0.7;
-        let decayed = AuditCycleEngine::new(config)
-            .unwrap()
-            .run_day(&history, &test_day)
-            .unwrap();
+        let decayed = replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day);
         assert_eq!(decayed.len(), test_day.len());
         assert!((decayed.fraction_ossp_not_worse() - 1.0).abs() < 1e-12);
     }
@@ -516,7 +518,7 @@ mod tests {
     fn replay_records_warm_start_and_pivot_statistics() {
         let (history, test_day) = multi_type_setup(23);
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         let totals = result.sse_totals;
         assert_eq!(totals.solves as usize, result.len());
         assert!(

@@ -1,15 +1,16 @@
-//! Batch replay drivers: thin wrappers that stream recorded [`DayLog`]s
-//! through [`DaySession`](super::DaySession)s, sequentially or sharded over
-//! threads.
+//! Batch replay: [`AuditCycleEngine::replay`] streams many recorded
+//! [`DayLog`]s through [`DaySession`](super::DaySession)s, sequentially or
+//! sharded over the engine's worker pool.
 //!
-//! Every driver here is a convenience over the streaming core: a job's test
-//! day is replayed by opening a session and pushing its alerts one at a
-//! time, so batch and streaming callers are guaranteed to agree bitwise.
+//! Every job's test day is replayed by [`Session::drive`](super::Session::drive)
+//! — open a session, push its alerts one at a time, finish — so batch and
+//! streaming callers are guaranteed to agree bitwise. A single day needs no
+//! batch driver: `engine.open_day(history, None)?.drive(day)`.
 
 use super::outcome::CycleResult;
-use super::session::{AuditCycleEngine, SessionBackends};
+use super::session::{AuditCycleEngine, Session, SessionBackends};
 use crate::{ConfigError, Result};
-use sag_sim::{AlertLog, DayLog};
+use sag_sim::DayLog;
 
 /// One unit of replay work: a history window, the test day replayed against
 /// it, and an optional per-cycle budget override (budget schedules).
@@ -61,7 +62,7 @@ impl<'a> ReplayJob<'a> {
     }
 }
 
-/// The shard count [`AuditCycleEngine::replay_batch`] picks for a batch of
+/// The shard count to hand [`AuditCycleEngine::replay`] for a batch of
 /// `num_jobs` day jobs: one shard per available core under the `parallel`
 /// feature (capped at the job count), a single shard otherwise.
 #[must_use]
@@ -80,35 +81,6 @@ pub fn recommended_shards(num_jobs: usize) -> usize {
 }
 
 impl AuditCycleEngine {
-    /// Replay one audit cycle: fit the forecaster on `history`, then stream
-    /// the alerts of `test_day` through a [`super::DaySession`] one at a
-    /// time.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (which do not occur for valid configurations).
-    pub fn run_day(&self, history: &[DayLog], test_day: &DayLog) -> Result<CycleResult> {
-        let mut backends = Some(SessionBackends::for_engine(self));
-        self.stream_job(&ReplayJob::new(history, test_day), &mut backends)
-    }
-
-    /// Replay many `(history, test-day)` jobs, sharded over
-    /// [`recommended_shards`] shards. Equivalent to
-    /// [`replay_sharded`](Self::replay_sharded) with the default shard
-    /// count; every day replays bitwise-identically regardless of sharding.
-    ///
-    /// # Errors
-    ///
-    /// Propagates solver errors (which do not occur for valid
-    /// configurations).
-    pub fn replay_batch(&self, jobs: &[(&[DayLog], &DayLog)]) -> Result<Vec<CycleResult>> {
-        let jobs: Vec<ReplayJob<'_>> = jobs
-            .iter()
-            .map(|&(history, test_day)| ReplayJob::new(history, test_day))
-            .collect();
-        self.replay_sharded(&jobs, recommended_shards(jobs.len()))
-    }
-
     /// Replay a batch of day jobs partitioned into `shards` contiguous
     /// shards. Each shard owns its own solver backends (simplex workspaces
     /// and cached candidate LPs), streams its jobs' days sequentially, and —
@@ -129,11 +101,7 @@ impl AuditCycleEngine {
     /// budget override (checked up front, before any shard thread starts),
     /// and propagates solver errors (which do not occur for valid
     /// configurations).
-    pub fn replay_sharded(
-        &self,
-        jobs: &[ReplayJob<'_>],
-        shards: usize,
-    ) -> Result<Vec<CycleResult>> {
+    pub fn replay(&self, jobs: &[ReplayJob<'_>], shards: usize) -> Result<Vec<CycleResult>> {
         if jobs.is_empty() {
             return Ok(Vec::new());
         }
@@ -182,16 +150,6 @@ impl AuditCycleEngine {
         Ok(results)
     }
 
-    /// Replay every rolling `(history, test-day)` group of a multi-day log,
-    /// as in the paper's 15-group evaluation.
-    ///
-    /// # Errors
-    ///
-    /// Propagates errors from [`run_day`](Self::run_day).
-    pub fn run_groups(&self, log: &AlertLog, history_len: usize) -> Result<Vec<CycleResult>> {
-        self.replay_batch(&log.rolling_groups(history_len))
-    }
-
     /// Stream one job's test day through a [`super::DaySession`], reusing
     /// the shard's backend pair (`None` on first use allocates a fresh
     /// pair; the session resets its warm-start state either way).
@@ -203,12 +161,8 @@ impl AuditCycleEngine {
         let backends = pool
             .take()
             .unwrap_or_else(|| SessionBackends::for_engine(self));
-        let mut session = self.open_day_with(job.history, job.budget, backends)?;
-        session.set_day(job.test_day.day());
-        for alert in job.test_day.alerts() {
-            session.push_alert(alert)?;
-        }
-        let (result, backends) = session.finish_with_backends();
+        let (result, backends) = Session::open_with(self, job.history, job.budget, backends)?
+            .drive_with_backends(job.test_day)?;
         *pool = Some(backends);
         Ok(result)
     }

@@ -7,18 +7,18 @@
 //! arrive* ([`Session::push_alert`]) — each push commits the warning
 //! decision for that alert before the next one is seen, exactly as the
 //! paper's online model demands — and closes it at end of cycle
-//! ([`Session::finish`]) to obtain the day's [`CycleResult`]. The batch
-//! replay drivers in [`super::replay`] are thin wrappers that stream a
-//! recorded [`sag_sim::DayLog`] through a session.
+//! ([`Session::finish`]) to obtain the day's [`CycleResult`]. A recorded
+//! [`sag_sim::DayLog`] is streamed through a session by [`Session::drive`],
+//! which the batch [`AuditCycleEngine::replay`] runs for every job.
 //!
 //! ## Borrowed vs. owned sessions
 //!
 //! [`Session<E>`] is generic over *how it holds its engine*: any
 //! `E: Borrow<AuditCycleEngine>` works, and the two forms that matter have
 //! aliases. [`DaySession<'e>`] borrows the engine (`E = &AuditCycleEngine`) —
-//! the zero-overhead form every replay wrapper streams through, unchanged
-//! from earlier revisions. [`OwnedDaySession`] holds the engine through an
-//! [`Arc`] (`E = Arc<AuditCycleEngine>`), freeing the session from the
+//! the zero-overhead form [`AuditCycleEngine::replay`] streams through.
+//! [`OwnedDaySession`] holds the engine through an [`Arc`]
+//! (`E = Arc<AuditCycleEngine>`), freeing the session from the
 //! engine's lifetime: it can be stored in a map, returned from a
 //! constructor, and moved across threads — the shape the `sag-service`
 //! front door hands out to multi-tenant drivers. Both forms run the exact
@@ -91,10 +91,9 @@ impl SessionBackends {
 /// [`AuditCycleEngine::open_day_owned`] or directly from
 /// [`Session::open`]; alerts are fed with
 /// [`push_alert`](Self::push_alert) and the day is closed with
-/// [`finish`](Self::finish). Feeding the alerts of a [`DayLog`] one at a
-/// time produces a [`CycleResult`] bitwise identical to the batch
-/// [`run_day`](AuditCycleEngine::run_day) wrapper, whichever form holds the
-/// engine.
+/// [`finish`](Self::finish), or a whole recorded [`DayLog`] is streamed
+/// with [`drive`](Self::drive). Either way the [`CycleResult`] is bitwise
+/// identical, whichever form holds the engine.
 #[derive(Debug)]
 pub struct Session<E: Borrow<AuditCycleEngine>> {
     engine: E,
@@ -117,9 +116,9 @@ pub struct Session<E: Borrow<AuditCycleEngine>> {
     day: Option<u32>,
 }
 
-/// A [`Session`] borrowing its engine — the form the replay wrappers
-/// stream through. Tied to the engine's lifetime but allocation-free to
-/// hand out.
+/// A [`Session`] borrowing its engine — the form
+/// [`AuditCycleEngine::replay`] streams through. Tied to the engine's
+/// lifetime but allocation-free to hand out.
 pub type DaySession<'e> = Session<&'e AuditCycleEngine>;
 
 /// A [`Session`] that owns its engine through an [`Arc`] — no lifetime
@@ -201,7 +200,7 @@ impl AuditCycleEngine {
     /// negative budget override, and propagates offline-solver errors (which
     /// do not occur for valid configurations).
     pub fn open_day(&self, history: &[DayLog], budget: Option<f64>) -> Result<DaySession<'_>> {
-        self.open_day_with(history, budget, SessionBackends::for_engine(self))
+        Session::open(self, history, budget)
     }
 
     /// [`open_day`](Self::open_day) for an engine shared behind an [`Arc`]:
@@ -219,20 +218,6 @@ impl AuditCycleEngine {
         budget: Option<f64>,
     ) -> Result<OwnedDaySession> {
         Session::open(Arc::clone(self), history, budget)
-    }
-
-    /// [`open_day`](Self::open_day) over caller-provided backends, so replay
-    /// drivers can reuse one pair of backends (allocated workspaces, cached
-    /// candidate LPs) across the days of a shard. The backends' warm-start
-    /// state is reset on entry: day boundaries start cold, which keeps every
-    /// session a pure function of its own inputs.
-    pub(super) fn open_day_with(
-        &self,
-        history: &[DayLog],
-        budget: Option<f64>,
-        backends: SessionBackends,
-    ) -> Result<DaySession<'_>> {
-        Session::open_with(self, history, budget, backends)
     }
 
     /// Process a single alert against explicit estimates and budget — the
@@ -313,8 +298,8 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
         Self::open_with(engine, history, budget, backends)
     }
 
-    /// [`open`](Self::open) over caller-provided backends (replay drivers
-    /// reuse one pair across the days of a shard). The backends' warm-start
+    /// [`open`](Self::open) over caller-provided backends (replay shards
+    /// reuse one pair across their days). The backends' warm-start
     /// state is reset on entry: day boundaries start cold, which keeps every
     /// session a pure function of its own inputs.
     pub(super) fn open_with(
@@ -533,9 +518,34 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
         self.finish_with_backends().0
     }
 
-    /// [`finish`](Self::finish) that also hands the solver backends back so
-    /// replay drivers can reuse them for the next day of the shard.
-    pub(super) fn finish_with_backends(self) -> (CycleResult, SessionBackends) {
+    /// Stream a recorded day through this session: pin its day index, push
+    /// every alert in arrival order, and finish. The one replay loop of the
+    /// engine — [`AuditCycleEngine::replay`] runs every job through it — so
+    /// a recorded day and the same alerts pushed live agree bitwise.
+    ///
+    /// # Errors
+    ///
+    /// Propagates solver errors (which do not occur for valid
+    /// configurations).
+    pub fn drive(self, day: &DayLog) -> Result<CycleResult> {
+        Ok(self.drive_with_backends(day)?.0)
+    }
+
+    /// [`drive`](Self::drive) that also hands the solver backends back so
+    /// replay shards can reuse them for their next day.
+    pub(super) fn drive_with_backends(
+        mut self,
+        day: &DayLog,
+    ) -> Result<(CycleResult, SessionBackends)> {
+        self.set_day(day.day());
+        for alert in day.alerts() {
+            self.push_alert(alert)?;
+        }
+        Ok(self.finish_with_backends())
+    }
+
+    /// [`finish`](Self::finish) that also hands the solver backends back.
+    fn finish_with_backends(self) -> (CycleResult, SessionBackends) {
         let n = self.engine.borrow().config.game.num_types();
         let result = CycleResult {
             day: self.day.unwrap_or(0),

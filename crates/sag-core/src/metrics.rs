@@ -183,7 +183,11 @@ mod tests {
         let mut gen = StreamGenerator::new(StreamConfig::paper_single_type(seed));
         let (history, mut tests) = gen.generate_split(15, 1);
         let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-        engine.run_day(&history, &tests.remove(0)).unwrap()
+        engine
+            .open_day(&history, None)
+            .unwrap()
+            .drive(&tests.remove(0))
+            .unwrap()
     }
 
     #[test]

@@ -129,6 +129,32 @@ impl SseCacheTotals {
     }
 }
 
+/// Field-wise sum, for totalling the counters of many replayed days.
+impl std::ops::AddAssign for SseCacheTotals {
+    fn add_assign(&mut self, other: SseCacheTotals) {
+        // Destructured so that a counter added to the struct cannot be left
+        // out of the sum: the pattern stops compiling until it is named.
+        let SseCacheTotals {
+            solves,
+            lp_solves,
+            warm_attempts,
+            warm_hits,
+            pivots,
+            fast_path_solves,
+            pruned_lps,
+            eps_skipped_lps,
+        } = other;
+        self.solves += solves;
+        self.lp_solves += lp_solves;
+        self.warm_attempts += warm_attempts;
+        self.warm_hits += warm_hits;
+        self.pivots += pivots;
+        self.fast_path_solves += fast_path_solves;
+        self.pruned_lps += pruned_lps;
+        self.eps_skipped_lps += eps_skipped_lps;
+    }
+}
+
 impl SseCache {
     /// Create an empty cache.
     #[must_use]
@@ -208,6 +234,26 @@ mod tests {
         assert_eq!(totals.pivots_per_lp(), 0.0);
         // The delta of two empty snapshots is empty.
         assert_eq!(totals.since(&SseCacheTotals::default()), totals);
+    }
+
+    #[test]
+    fn add_assign_sums_every_counter() {
+        let day = |k: u64| SseCacheTotals {
+            solves: k,
+            lp_solves: 2 * k,
+            warm_attempts: 3 * k,
+            warm_hits: 4 * k,
+            pivots: 5 * k,
+            fast_path_solves: 6 * k,
+            pruned_lps: 7 * k,
+            eps_skipped_lps: 8 * k,
+        };
+        let mut totals = day(1);
+        totals += day(10);
+        assert_eq!(totals, day(11));
+        assert_eq!(totals.eps_skipped_lps, 88);
+        // The sum undoes `since`.
+        assert_eq!(totals.since(&day(10)), day(1));
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Replays scenarios through the engine and aggregates the metrics
 //! `BENCH_2.json` tracks.
 //!
-//! Three replay modes:
+//! Three replay modes, all configured by one [`ReplayOptions`]:
 //!
-//! * [`run_scenario_sized`] — the sharded batch driver
-//!   ([`AuditCycleEngine::replay_sharded`]), which streams each recorded day
+//! * [`run_scenario`] — the sharded batch driver
+//!   ([`AuditCycleEngine::replay`]), which streams each recorded day
 //!   through a [`sag_core::DaySession`] internally; the throughput path.
-//! * [`stream_scenario_sized`] — the explicit alert-at-a-time path: one
+//! * [`stream_scenario`] — the explicit alert-at-a-time path: one
 //!   [`sag_core::DaySession`] per day, one
 //!   [`push_alert`](sag_core::engine::Session::push_alert) per alert, with
 //!   the wall-clock decision latency of every push recorded. This is what a
@@ -22,10 +22,11 @@
 
 use crate::scenario::Scenario;
 use sag_cluster::ClusterBuilder;
-use sag_core::engine::{AuditCycleEngine, EngineBuilder, ReplayJob};
+use sag_core::engine::{AuditCycleEngine, EngineBuilder, EngineConfig, ReplayJob};
 use sag_core::sse::SseCacheTotals;
 use sag_core::{CycleResult, Result};
 use sag_service::{AuditService, ServiceBuilder, ServiceError, ServiceJob, TenantId};
+use sag_sim::{AlertLog, DayLog};
 use std::time::Instant;
 
 /// The outcome of replaying one scenario.
@@ -63,14 +64,7 @@ impl ScenarioRun {
     pub fn sse_totals(&self) -> SseCacheTotals {
         let mut totals = SseCacheTotals::default();
         for c in &self.cycles {
-            totals.solves += c.sse_totals.solves;
-            totals.lp_solves += c.sse_totals.lp_solves;
-            totals.warm_attempts += c.sse_totals.warm_attempts;
-            totals.warm_hits += c.sse_totals.warm_hits;
-            totals.pivots += c.sse_totals.pivots;
-            totals.fast_path_solves += c.sse_totals.fast_path_solves;
-            totals.pruned_lps += c.sse_totals.pruned_lps;
-            totals.eps_skipped_lps += c.sse_totals.eps_skipped_lps;
+            totals += c.sse_totals;
         }
         totals
     }
@@ -130,70 +124,73 @@ impl ScenarioRun {
     }
 }
 
-/// Replay `scenario` with its own evaluation layout.
-///
-/// # Errors
-///
-/// Propagates engine construction and solver errors.
-pub fn run_scenario(scenario: &dyn Scenario, seed: u64, shards: usize) -> Result<ScenarioRun> {
-    run_scenario_sized(
-        scenario,
-        seed,
-        shards,
-        scenario.history_days(),
-        scenario.test_days(),
-    )
+/// How a scenario is replayed: the seed of its alert stream, the
+/// evaluation layout (`history_days` of fitted history ahead of each of
+/// `test_days` rolling test days), and the engine configuration.
+/// [`ReplayOptions::new`] takes the layout and configuration from the
+/// scenario; benchmarks and equivalence tests edit the fields to flip
+/// engine switches (solver backend, pruning, accounting) or resize the run.
+#[derive(Debug, Clone)]
+pub struct ReplayOptions {
+    /// Seed of the recorded stream. A service replay's tenant `t` streams
+    /// `seed + t`.
+    pub seed: u64,
+    /// Days of history fitted ahead of each test day.
+    pub history_days: u32,
+    /// Rolling test days replayed.
+    pub test_days: u32,
+    /// Engine configuration every replayed day runs under.
+    pub config: EngineConfig,
 }
 
-/// Replay `scenario` with an explicit evaluation layout: `history_days` of
-/// fitted history ahead of each of `test_days` rolling test days.
-///
-/// # Errors
-///
-/// Propagates engine construction and solver errors.
-pub fn run_scenario_sized(
-    scenario: &dyn Scenario,
-    seed: u64,
-    shards: usize,
-    history_days: u32,
-    test_days: u32,
-) -> Result<ScenarioRun> {
-    run_scenario_sized_with(scenario, seed, shards, history_days, test_days, |_| {})
+impl ReplayOptions {
+    /// The scenario's own evaluation layout and engine configuration.
+    #[must_use]
+    pub fn new(scenario: &dyn Scenario, seed: u64) -> Self {
+        ReplayOptions {
+            seed,
+            history_days: scenario.history_days(),
+            test_days: scenario.test_days(),
+            config: scenario.engine_config(),
+        }
+    }
+
+    /// The recorded log of stream `seed`: history and test days together.
+    fn log(&self, scenario: &dyn Scenario, seed: u64) -> AlertLog {
+        AlertLog::new(scenario.generate_days(seed, self.history_days + self.test_days))
+    }
+
+    /// Every test day of `log` against its preceding window of history,
+    /// under the scenario's budget schedule.
+    fn rolling_jobs<'a>(&self, scenario: &dyn Scenario, log: &'a AlertLog) -> Vec<ReplayJob<'a>> {
+        log.rolling_groups(self.history_days as usize)
+            .into_iter()
+            .map(|(history, test_day)| ReplayJob {
+                history,
+                test_day,
+                budget: scenario.budget_for_day(test_day.day()),
+            })
+            .collect()
+    }
 }
 
-/// [`run_scenario_sized`] with an engine-configuration override hook,
-/// applied after the scenario's own [`Scenario::engine_config`]. Used by
-/// benchmarks and equivalence tests to flip engine-level switches (solver
-/// backend, pruning mode) on an otherwise identical replay.
+/// Replay `scenario` through the engine's batch
+/// [`replay`](AuditCycleEngine::replay) over `shards` shards.
 ///
 /// # Errors
 ///
 /// Propagates engine construction and solver errors.
-pub fn run_scenario_sized_with(
+pub fn run_scenario(
     scenario: &dyn Scenario,
-    seed: u64,
+    options: &ReplayOptions,
     shards: usize,
-    history_days: u32,
-    test_days: u32,
-    configure: impl FnOnce(&mut sag_core::engine::EngineConfig),
 ) -> Result<ScenarioRun> {
-    let mut config = scenario.engine_config();
-    configure(&mut config);
-    let engine = AuditCycleEngine::new(config)?;
-    let days = scenario.generate_days(seed, history_days + test_days);
-    let log = sag_sim::AlertLog::new(days);
-    let groups = log.rolling_groups(history_days as usize);
-    let jobs: Vec<ReplayJob<'_>> = groups
-        .iter()
-        .map(|&(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
+    let engine = AuditCycleEngine::new(options.config.clone())?;
+    let log = options.log(scenario, options.seed);
+    let jobs = options.rolling_jobs(scenario, &log);
 
     let started = Instant::now();
-    let cycles = engine.replay_sharded(&jobs, shards)?;
+    let cycles = engine.replay(&jobs, shards)?;
     let wall_seconds = started.elapsed().as_secs_f64();
 
     Ok(ScenarioRun {
@@ -218,35 +215,29 @@ pub struct StreamingRun {
     pub push_nanos: Vec<u64>,
 }
 
-/// Stream `scenario` alert-at-a-time with an explicit evaluation layout:
-/// open a [`sag_core::DaySession`] per test day, push every alert of the
-/// recorded day individually, and time each push.
+/// Stream `scenario` alert-at-a-time: open a [`sag_core::DaySession`] per
+/// test day, push every alert of the recorded day individually, and time
+/// each push.
 ///
 /// The resulting [`CycleResult`]s are bitwise identical to
-/// [`run_scenario_sized`] at any shard count — the batch driver is a wrapper
-/// over the same sessions — so this mode only adds the latency telemetry.
+/// [`run_scenario`] at any shard count — the batch driver streams the same
+/// sessions — so this mode only adds the latency telemetry.
 ///
 /// # Errors
 ///
 /// Propagates engine construction and solver errors.
-pub fn stream_scenario_sized(
-    scenario: &dyn Scenario,
-    seed: u64,
-    history_days: u32,
-    test_days: u32,
-) -> Result<StreamingRun> {
-    let engine = AuditCycleEngine::new(scenario.engine_config())?;
-    let days = scenario.generate_days(seed, history_days + test_days);
-    let log = sag_sim::AlertLog::new(days);
-    let groups = log.rolling_groups(history_days as usize);
+pub fn stream_scenario(scenario: &dyn Scenario, options: &ReplayOptions) -> Result<StreamingRun> {
+    let engine = AuditCycleEngine::new(options.config.clone())?;
+    let log = options.log(scenario, options.seed);
+    let jobs = options.rolling_jobs(scenario, &log);
 
-    let mut cycles = Vec::with_capacity(groups.len());
+    let mut cycles = Vec::with_capacity(jobs.len());
     let mut push_nanos = Vec::with_capacity(log.total_alerts());
     let started = Instant::now();
-    for (history, test_day) in groups {
-        let mut session = engine.open_day(history, scenario.budget_for_day(test_day.day()))?;
-        session.set_day(test_day.day());
-        for alert in test_day.alerts() {
+    for job in &jobs {
+        let mut session = engine.open_day(job.history, job.budget)?;
+        session.set_day(job.test_day.day());
+        for alert in job.test_day.alerts() {
             let arrived = Instant::now();
             session.push_alert(alert)?;
             push_nanos.push(arrived.elapsed().as_nanos() as u64);
@@ -304,86 +295,49 @@ impl ServiceRun {
     }
 }
 
-/// Replay `scenario` as `tenants` concurrent tenants of one service, each
-/// on its own stream seeded `seed + tenant_index`.
+/// Replay `scenario` as `tenants` concurrent tenants of one service over
+/// `workers` pool threads (0 = inline serial replay), each tenant on its
+/// own stream seeded `options.seed + tenant_index`.
 ///
 /// # Errors
 ///
 /// Propagates service construction and engine errors.
 pub fn run_scenario_service(
     scenario: &dyn Scenario,
-    seed: u64,
+    options: &ReplayOptions,
     tenants: usize,
     workers: usize,
-    history_days: u32,
-    test_days: u32,
 ) -> std::result::Result<ServiceRun, ServiceError> {
-    run_scenario_service_with(
-        scenario,
-        seed,
-        tenants,
-        workers,
-        history_days,
-        test_days,
-        |_| {},
-    )
-}
-
-/// [`run_scenario_service`] with an engine-configuration override hook,
-/// applied to every tenant after the scenario's own
-/// [`Scenario::engine_config`]. The equivalence tests use it to pin the
-/// solver backend.
-///
-/// # Errors
-///
-/// Propagates service construction and engine errors.
-pub fn run_scenario_service_with(
-    scenario: &dyn Scenario,
-    seed: u64,
-    tenants: usize,
-    workers: usize,
-    history_days: u32,
-    test_days: u32,
-    configure: impl FnOnce(&mut sag_core::engine::EngineConfig),
-) -> std::result::Result<ServiceRun, ServiceError> {
-    let mut config = scenario.engine_config();
-    configure(&mut config);
-
-    let tenant_ids: Vec<TenantId> = (0..tenants)
-        .map(|t| TenantId::new(format!("{}-t{t}", scenario.name())))
-        .collect();
+    let tenant_ids: Vec<TenantId> = (0..tenants).map(|t| tenant_id(scenario, t)).collect();
     let mut builder = AuditService::builder().workers(workers);
     for id in &tenant_ids {
         // History rides on the jobs (it varies per rolling group), so the
         // tenants register with empty stored history.
-        builder = builder.tenant(id.clone(), EngineBuilder::from_config(config.clone()));
+        builder = builder.tenant(
+            id.clone(),
+            EngineBuilder::from_config(options.config.clone()),
+        );
     }
     let service = builder.build()?;
 
     // Each tenant audits its own alert stream: same regime, distinct seed.
-    let logs: Vec<sag_sim::AlertLog> = (0..tenants)
-        .map(|t| {
-            sag_sim::AlertLog::new(
-                scenario.generate_days(seed + t as u64, history_days + test_days),
-            )
-        })
+    let logs: Vec<AlertLog> = (0..tenants)
+        .map(|t| options.log(scenario, options.seed + t as u64))
         .collect();
-    let groups: Vec<Vec<(&[sag_sim::DayLog], &sag_sim::DayLog)>> = logs
+    let tenant_jobs: Vec<Vec<ReplayJob<'_>>> = logs
         .iter()
-        .map(|log| log.rolling_groups(history_days as usize))
+        .map(|log| options.rolling_jobs(scenario, log))
         .collect();
     let jobs: Vec<ServiceJob<'_>> = tenant_ids
         .iter()
-        .zip(&groups)
-        .flat_map(|(id, tenant_groups)| {
-            tenant_groups
-                .iter()
-                .map(move |&(history, test_day)| ServiceJob {
-                    tenant: id,
-                    test_day,
-                    budget: scenario.budget_for_day(test_day.day()),
-                    history: Some(history),
-                })
+        .zip(&tenant_jobs)
+        .flat_map(|(id, jobs)| {
+            jobs.iter().map(move |job| ServiceJob {
+                tenant: id,
+                test_day: job.test_day,
+                budget: job.budget,
+                history: Some(job.history),
+            })
         })
         .collect();
 
@@ -394,8 +348,8 @@ pub fn run_scenario_service_with(
     // Un-flatten the job-ordered results back into per-tenant day vectors
     // (jobs were emitted tenant-major).
     let mut cycles = Vec::with_capacity(tenants);
-    for tenant_groups in &groups {
-        let rest = flat.split_off(tenant_groups.len());
+    for jobs in &tenant_jobs {
+        let rest = flat.split_off(jobs.len());
         cycles.push(flat);
         flat = rest;
     }
@@ -407,6 +361,11 @@ pub fn run_scenario_service_with(
         wall_seconds,
         cycles,
     })
+}
+
+/// Tenant `t`'s service id: `"{scenario}-t{t}"`.
+fn tenant_id(scenario: &dyn Scenario, t: usize) -> TenantId {
+    TenantId::new(format!("{}-t{t}", scenario.name()))
 }
 
 /// One tenant of a [`TenantFleet`]: its id and the recorded test days a
@@ -476,22 +435,12 @@ pub fn tenant_fleet_parts(
     history_days: u32,
     test_days: u32,
 ) -> (ServiceBuilder, Vec<FleetTenant>) {
-    let config = scenario.engine_config();
     let mut builder = AuditService::builder();
     let mut fleet = Vec::with_capacity(tenants);
-    for t in 0..tenants {
-        let id = TenantId::new(format!("{}-t{t}", scenario.name()));
-        let mut days = scenario.generate_days(seed + t as u64, history_days + test_days);
-        let test = days.split_off(history_days as usize);
-        builder = builder.tenant_with_history(
-            id.clone(),
-            EngineBuilder::from_config(config.clone()),
-            days,
-        );
-        fleet.push(FleetTenant {
-            id,
-            test_days: test,
-        });
+    for (tenant, engine, history) in fleet_tenants(scenario, seed, tenants, history_days, test_days)
+    {
+        builder = builder.tenant_with_history(tenant.id.clone(), engine, history);
+        fleet.push(tenant);
     }
     (builder, fleet)
 }
@@ -516,24 +465,37 @@ pub fn tenant_fleet_cluster_parts(
     test_days: u32,
     shards: usize,
 ) -> (ClusterBuilder, Vec<FleetTenant>) {
-    let config = scenario.engine_config();
     let mut builder = ClusterBuilder::new(shards);
     let mut fleet = Vec::with_capacity(tenants);
-    for t in 0..tenants {
-        let id = TenantId::new(format!("{}-t{t}", scenario.name()));
-        let mut days = scenario.generate_days(seed + t as u64, history_days + test_days);
-        let test = days.split_off(history_days as usize);
-        builder = builder.tenant_with_history(
-            id.clone(),
-            EngineBuilder::from_config(config.clone()),
-            days,
-        );
-        fleet.push(FleetTenant {
-            id,
-            test_days: test,
-        });
+    for (tenant, engine, history) in fleet_tenants(scenario, seed, tenants, history_days, test_days)
+    {
+        builder = builder.tenant_with_history(tenant.id.clone(), engine, history);
+        fleet.push(tenant);
     }
     (builder, fleet)
+}
+
+/// The tenants both fleet builders register: tenant `t` is named by
+/// [`tenant_id`], streams days seeded `seed + t`, and splits them into
+/// `history_days` of registered history (returned with the tenant's
+/// engine) and `test_days` to stream.
+fn fleet_tenants<'a>(
+    scenario: &'a dyn Scenario,
+    seed: u64,
+    tenants: usize,
+    history_days: u32,
+    test_days: u32,
+) -> impl Iterator<Item = (FleetTenant, EngineBuilder, Vec<DayLog>)> + 'a {
+    let config = scenario.engine_config();
+    (0..tenants).map(move |t| {
+        let mut days = scenario.generate_days(seed + t as u64, history_days + test_days);
+        let test_days = days.split_off(history_days as usize);
+        let tenant = FleetTenant {
+            id: tenant_id(scenario, t),
+            test_days,
+        };
+        (tenant, EngineBuilder::from_config(config.clone()), days)
+    })
 }
 
 #[cfg(test)]
@@ -541,9 +503,23 @@ mod tests {
     use super::*;
     use crate::library::{BudgetShocks, PaperBaseline};
 
+    /// `scenario`'s options at an explicit seed and evaluation layout.
+    fn sized(
+        scenario: &dyn Scenario,
+        seed: u64,
+        history_days: u32,
+        test_days: u32,
+    ) -> ReplayOptions {
+        ReplayOptions {
+            history_days,
+            test_days,
+            ..ReplayOptions::new(scenario, seed)
+        }
+    }
+
     #[test]
     fn baseline_run_produces_one_cycle_per_test_day() {
-        let run = run_scenario_sized(&PaperBaseline, 11, 1, 6, 3).unwrap();
+        let run = run_scenario(&PaperBaseline, &sized(&PaperBaseline, 11, 6, 3), 1).unwrap();
         assert_eq!(run.cycles.len(), 3);
         assert!(run.alerts() > 300);
         assert!(run.alerts_per_sec() > 0.0);
@@ -556,8 +532,9 @@ mod tests {
 
     #[test]
     fn streaming_run_matches_the_batch_driver_bitwise() {
-        let batch = run_scenario_sized(&PaperBaseline, 19, 1, 5, 2).unwrap();
-        let streamed = stream_scenario_sized(&PaperBaseline, 19, 5, 2).unwrap();
+        let options = sized(&PaperBaseline, 19, 5, 2);
+        let batch = run_scenario(&PaperBaseline, &options, 1).unwrap();
+        let streamed = stream_scenario(&PaperBaseline, &options).unwrap();
         assert_eq!(streamed.push_nanos.len(), batch.alerts());
         assert_eq!(streamed.run.cycles.len(), batch.cycles.len());
         for (s, b) in streamed.run.cycles.iter().zip(&batch.cycles) {
@@ -575,13 +552,19 @@ mod tests {
         // Three tenants on the baseline regime, concurrent over a 2-worker
         // pool, against three serial single-tenant replays on the same
         // seeds: bitwise identical.
-        let service = run_scenario_service(&PaperBaseline, 23, 3, 2, 5, 2).unwrap();
+        let service =
+            run_scenario_service(&PaperBaseline, &sized(&PaperBaseline, 23, 5, 2), 3, 2).unwrap();
         assert_eq!(service.cycles.len(), 3);
         assert!(service.alerts() > 500);
         assert!(service.alerts_per_sec() > 0.0);
         assert_eq!(service.workers, 2);
         for (t, tenant_cycles) in service.cycles.iter().enumerate() {
-            let serial = run_scenario_sized(&PaperBaseline, 23 + t as u64, 1, 5, 2).unwrap();
+            let serial = run_scenario(
+                &PaperBaseline,
+                &sized(&PaperBaseline, 23 + t as u64, 5, 2),
+                1,
+            )
+            .unwrap();
             assert_eq!(tenant_cycles.len(), serial.cycles.len());
             for (a, b) in tenant_cycles.iter().zip(&serial.cycles) {
                 let mut a = a.clone();
@@ -596,7 +579,7 @@ mod tests {
 
     #[test]
     fn budget_shocks_apply_the_schedule() {
-        let run = run_scenario_sized(&BudgetShocks, 7, 1, 6, 4).unwrap();
+        let run = run_scenario(&BudgetShocks, &sized(&BudgetShocks, 7, 6, 4), 1).unwrap();
         // Test days are 6..10: 6 % 4 == 2 -> surge (x1.5), 8 % 4 == 0 ->
         // shock (x0.3), 7 and 9 run at the base budget.
         let by_day: Vec<(u32, f64)> = run

@@ -15,11 +15,13 @@
 //!   two-hospital federation (see the module docs for the full list);
 //! * [`registry`](mod@registry) — the canonical list of registered
 //!   scenarios, which the `repro_scenarios` benchmark replays end to end;
-//! * [`driver`] — runs a scenario through the engine's sharded replay
-//!   ([`sag_core::engine::AuditCycleEngine::replay_sharded`]) or streams it
+//! * [`driver`] — runs a scenario, configured by one [`ReplayOptions`],
+//!   through the engine's sharded replay
+//!   ([`sag_core::engine::AuditCycleEngine::replay`]), streams it
 //!   alert-at-a-time through [`sag_core::DaySession`]s (recording per-alert
-//!   decision latency), and aggregates throughput, solver-work and utility
-//!   metrics.
+//!   decision latency), or replays it as the tenants of one
+//!   [`sag_service::AuditService`], and aggregates throughput, solver-work
+//!   and utility metrics.
 //!
 //! Results are deterministic: a scenario replayed with any shard count, with
 //! or without the `parallel` feature, produces bitwise-identical
@@ -33,9 +35,9 @@ pub mod registry;
 pub mod scenario;
 
 pub use driver::{
-    run_scenario, run_scenario_service, run_scenario_service_with, run_scenario_sized,
-    run_scenario_sized_with, stream_scenario_sized, tenant_fleet, tenant_fleet_cluster_parts,
-    tenant_fleet_parts, FleetTenant, ScenarioRun, ServiceRun, StreamingRun, TenantFleet,
+    run_scenario, run_scenario_service, stream_scenario, tenant_fleet, tenant_fleet_cluster_parts,
+    tenant_fleet_parts, FleetTenant, ReplayOptions, ScenarioRun, ServiceRun, StreamingRun,
+    TenantFleet,
 };
 pub use registry::{find_scenario, registry};
 pub use scenario::Scenario;

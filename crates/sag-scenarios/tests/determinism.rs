@@ -1,14 +1,21 @@
-//! Sharded-replay determinism: for every shard count, `replay_sharded`
-//! produces bitwise-identical `CycleResult`s to the sequential
-//! `replay_batch` — only wall-clock time may differ. This is the contract
-//! that lets the perf-smoke CI job scale shard counts freely without ever
-//! changing results.
+//! Sharded-replay determinism: for every shard count, `replay` produces
+//! bitwise-identical `CycleResult`s to the single-shard replay — only
+//! wall-clock time may differ — under both budget-accounting modes. This is
+//! the contract that lets the perf-smoke CI job scale shard counts freely
+//! without ever changing results.
 
-use sag_core::engine::{AuditCycleEngine, ReplayJob};
+use sag_core::engine::{recommended_shards, BudgetAccounting};
 use sag_core::CycleResult;
-use sag_scenarios::library::{MultiSite, PaperBaseline};
-use sag_scenarios::Scenario;
-use sag_sim::AlertLog;
+use sag_scenarios::library::{BudgetShocks, MultiSite, PaperBaseline};
+use sag_scenarios::{run_scenario, ReplayOptions, Scenario};
+
+/// Both accounting modes: the default expected charge, and sampled signals
+/// (seeded), under which the online-SSE world diverges from the OSSP world
+/// and runs its own LP chain.
+const ACCOUNTINGS: [BudgetAccounting; 2] = [
+    BudgetAccounting::Expected,
+    BudgetAccounting::Sampled { seed: 77 },
+];
 
 /// Zero the wall-clock timing field so results can be compared exactly.
 fn untimed(mut cycle: CycleResult) -> CycleResult {
@@ -18,52 +25,46 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
     cycle
 }
 
-fn assert_sharding_invariant(scenario: &dyn Scenario, seed: u64, history_days: u32, days: u32) {
-    let engine = AuditCycleEngine::new(scenario.engine_config()).expect("scenario engine");
-    let log = AlertLog::new(scenario.generate_days(seed, days));
-    let groups = log.rolling_groups(history_days as usize);
-    assert!(groups.len() >= 4, "need several jobs to shard");
-    let jobs: Vec<ReplayJob<'_>> = groups
-        .iter()
-        .map(|&(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
-
-    // The sequential reference: replay_batch on the same jobs. With the
-    // default feature set replay_batch is single-sharded; with `parallel` it
-    // shards by core count — the invariant under test says that must not
-    // matter.
-    let tuples: Vec<(&[sag_sim::DayLog], &sag_sim::DayLog)> = groups.clone();
-    let reference: Vec<CycleResult> = if jobs.iter().all(|j| j.budget.is_none()) {
-        engine.replay_batch(&tuples).expect("batch replays")
-    } else {
-        engine.replay_sharded(&jobs, 1).expect("sharded replays")
-    }
-    .into_iter()
-    .map(untimed)
-    .collect();
-
-    for shards in [2, 3, jobs.len() * 2] {
-        let sharded: Vec<CycleResult> = engine
-            .replay_sharded(&jobs, shards)
+fn assert_sharding_invariant(
+    scenario: &dyn Scenario,
+    accounting: BudgetAccounting,
+    seed: u64,
+    history_days: u32,
+    days: u32,
+) {
+    let mut options = ReplayOptions::new(scenario, seed);
+    options.history_days = history_days;
+    options.test_days = days - history_days;
+    options.config.accounting = accounting;
+    let jobs = options.test_days as usize;
+    assert!(jobs >= 4, "need several jobs to shard");
+    let replay = |shards: usize| -> Vec<CycleResult> {
+        run_scenario(scenario, &options, shards)
             .expect("sharded replays")
+            .cycles
             .into_iter()
             .map(untimed)
-            .collect();
+            .collect()
+    };
+
+    // The sequential reference. The default shard count is 1 without the
+    // `parallel` feature and the core count with it — the invariant under
+    // test says that must not matter.
+    let reference = replay(1);
+    assert_eq!(reference.len(), jobs, "{}", scenario.name());
+    for shards in [recommended_shards(jobs), 2, 3, jobs * 2] {
+        let sharded = replay(shards);
         assert_eq!(
             reference.len(),
             sharded.len(),
-            "{}: shards = {shards}",
+            "{} [{accounting:?}]: shards = {shards}",
             scenario.name()
         );
         // PartialEq over every f64 field: bitwise-identical or bust.
         assert_eq!(
             reference,
             sharded,
-            "{}: shard count {shards} changed results",
+            "{} [{accounting:?}]: shard count {shards} changed results",
             scenario.name()
         );
     }
@@ -71,17 +72,23 @@ fn assert_sharding_invariant(scenario: &dyn Scenario, seed: u64, history_days: u
 
 #[test]
 fn paper_baseline_sharding_is_bitwise_deterministic() {
-    assert_sharding_invariant(&PaperBaseline, 2019, 6, 11);
+    for accounting in ACCOUNTINGS {
+        assert_sharding_invariant(&PaperBaseline, accounting, 2019, 6, 11);
+    }
 }
 
 #[test]
 fn multi_site_sharding_is_bitwise_deterministic() {
     // 14 candidate types: with the `parallel` feature this also pushes the
     // per-alert candidate fan-out through its threaded path.
-    assert_sharding_invariant(&MultiSite, 7, 4, 8);
+    for accounting in ACCOUNTINGS {
+        assert_sharding_invariant(&MultiSite, accounting, 7, 4, 8);
+    }
 }
 
 #[test]
 fn budget_scheduled_sharding_is_bitwise_deterministic() {
-    assert_sharding_invariant(&sag_scenarios::library::BudgetShocks, 3, 4, 9);
+    for accounting in ACCOUNTINGS {
+        assert_sharding_invariant(&BudgetShocks, accounting, 3, 4, 9);
+    }
 }

@@ -15,13 +15,11 @@
 //! their full alert streams in a debug test would dominate the suite's
 //! runtime, and the ε branch lives entirely inside `SseSolver`.
 
-use sag_core::engine::{AuditCycleEngine, EngineConfig, ReplayJob};
 use sag_core::model::GameConfig;
 use sag_core::sse::{SolverBackendKind, SseCache, SseInput, SseSolver};
 use sag_core::CycleResult;
 use sag_scenarios::library::{ContinentalSprawl, GlobalMesh};
-use sag_scenarios::{registry, Scenario};
-use sag_sim::AlertLog;
+use sag_scenarios::{registry, run_scenario, ReplayOptions, Scenario};
 
 /// Strip wall-clock timing, the only field ε = 0 may legitimately change.
 /// Everything else — outcomes, schemes, budgets, *and* the solver-work
@@ -41,25 +39,16 @@ fn replay(
     history_days: u32,
     days: u32,
 ) -> Vec<CycleResult> {
-    let mut config: EngineConfig = scenario.engine_config();
-    config.backend = backend;
+    let mut options = ReplayOptions::new(scenario, seed);
+    options.history_days = history_days;
+    options.test_days = days - history_days;
+    options.config.backend = backend;
     if let Some(epsilon) = epsilon {
-        config.epsilon = epsilon;
+        options.config.epsilon = epsilon;
     }
-    let engine = AuditCycleEngine::new(config).expect("scenario engine");
-    let log = AlertLog::new(scenario.generate_days(seed, days));
-    let groups = log.rolling_groups(history_days as usize);
-    let jobs: Vec<ReplayJob<'_>> = groups
-        .iter()
-        .map(|&(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
-    engine
-        .replay_sharded(&jobs, 1)
+    run_scenario(scenario, &options, 1)
         .expect("scenario replays")
+        .cycles
         .into_iter()
         .map(untimed)
         .collect()

@@ -8,11 +8,9 @@
 //! This is the contract that lets the engine default to pruning: it is a
 //! pure work optimization, never a behaviour change.
 
-use sag_core::engine::{AuditCycleEngine, EngineConfig, ReplayJob};
 use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
-use sag_scenarios::{registry, Scenario};
-use sag_sim::AlertLog;
+use sag_scenarios::{registry, run_scenario, ReplayOptions, Scenario};
 
 /// Strip the fields equivalence deliberately excludes: wall-clock timing
 /// and the solver-work counters (pruning exists precisely to change those).
@@ -33,23 +31,14 @@ fn replay(
     history_days: u32,
     days: u32,
 ) -> Vec<CycleResult> {
-    let mut config: EngineConfig = scenario.engine_config();
-    config.backend = backend;
-    config.pruning = pruning;
-    let engine = AuditCycleEngine::new(config).expect("scenario engine");
-    let log = AlertLog::new(scenario.generate_days(seed, days));
-    let groups = log.rolling_groups(history_days as usize);
-    let jobs: Vec<ReplayJob<'_>> = groups
-        .iter()
-        .map(|&(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
-    engine
-        .replay_sharded(&jobs, 1)
+    let mut options = ReplayOptions::new(scenario, seed);
+    options.history_days = history_days;
+    options.test_days = days - history_days;
+    options.config.backend = backend;
+    options.config.pruning = pruning;
+    run_scenario(scenario, &options, 1)
         .expect("scenario replays")
+        .cycles
         .into_iter()
         .map(comparable)
         .collect()
@@ -98,18 +87,11 @@ fn pruning_is_result_identical_across_the_whole_registry() {
 fn pruning_actually_skips_most_candidate_lps() {
     for name in ["paper-baseline", "multi-site", "metro-grid"] {
         let scenario = sag_scenarios::find_scenario(name).expect("registered");
-        let engine = AuditCycleEngine::new(scenario.engine_config()).expect("engine");
-        let log = AlertLog::new(scenario.generate_days(11, 4));
-        let groups = log.rolling_groups(3);
-        let jobs: Vec<ReplayJob<'_>> = groups.iter().map(|&(h, t)| ReplayJob::new(h, t)).collect();
-        let cycles = engine.replay_sharded(&jobs, 1).expect("replays");
-        let mut lp_solves = 0u64;
-        let mut pruned = 0u64;
-        for c in &cycles {
-            lp_solves += c.sse_totals.lp_solves;
-            pruned += c.sse_totals.pruned_lps;
-        }
-        let fraction = pruned as f64 / (pruned + lp_solves) as f64;
+        let mut options = ReplayOptions::new(scenario.as_ref(), 11);
+        options.history_days = 3;
+        options.test_days = 1;
+        let run = run_scenario(scenario.as_ref(), &options, 1).expect("replays");
+        let fraction = run.sse_totals().pruned_lp_fraction();
         assert!(
             fraction > 0.5,
             "{name}: only {:.1}% of candidate LPs pruned",

@@ -9,7 +9,7 @@
 use sag_core::engine::EngineBuilder;
 use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
-use sag_scenarios::{registry, run_scenario_service_with, run_scenario_sized_with, Scenario};
+use sag_scenarios::{registry, run_scenario, run_scenario_service, ReplayOptions, Scenario};
 use sag_service::{AuditService, SessionHandle, TenantId};
 use std::collections::HashMap;
 
@@ -26,24 +26,27 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
     cycle
 }
 
+/// The scenario's options at `seed` on the shared layout, pinned to
+/// `backend`.
+fn options(scenario: &dyn Scenario, seed: u64, backend: SolverBackendKind) -> ReplayOptions {
+    let mut options = ReplayOptions::new(scenario, seed);
+    options.history_days = HISTORY_DAYS;
+    options.test_days = TEST_DAYS;
+    options.config.backend = backend;
+    options
+}
+
 /// Serial per-tenant reference: each tenant replayed alone, one shard, on
 /// its own seed — the ground truth the concurrent paths must reproduce.
 fn serial_reference(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<Vec<CycleResult>> {
     (0..TENANTS)
         .map(|t| {
-            run_scenario_sized_with(
-                scenario,
-                SEED + t as u64,
-                1,
-                HISTORY_DAYS,
-                TEST_DAYS,
-                |config| config.backend = backend,
-            )
-            .expect("serial replay")
-            .cycles
-            .into_iter()
-            .map(untimed)
-            .collect()
+            run_scenario(scenario, &options(scenario, SEED + t as u64, backend), 1)
+                .expect("serial replay")
+                .cycles
+                .into_iter()
+                .map(untimed)
+                .collect()
         })
         .collect()
 }
@@ -52,16 +55,8 @@ fn serial_reference(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<
 /// workers via `replay_concurrent`.
 fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
     let reference = serial_reference(scenario, backend);
-    let service = run_scenario_service_with(
-        scenario,
-        SEED,
-        TENANTS,
-        4,
-        HISTORY_DAYS,
-        TEST_DAYS,
-        |config| config.backend = backend,
-    )
-    .expect("service replay");
+    let service = run_scenario_service(scenario, &options(scenario, SEED, backend), TENANTS, 4)
+        .expect("service replay");
     assert_eq!(service.tenants, TENANTS);
     assert_eq!(service.workers, 4);
     let concurrent: Vec<Vec<CycleResult>> = service

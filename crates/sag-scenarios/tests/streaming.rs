@@ -1,14 +1,15 @@
 //! Streaming equivalence: a `DaySession` fed alert-by-alert produces
-//! bitwise-identical `CycleResult`s to the batch `run_day` wrapper and to
-//! `replay_sharded` at every shard count — across the full scenario
-//! registry and for both general-purpose solver backends. This is the
-//! contract that lets ingest loops, batch replays and sharded benchmarks
-//! share one engine without ever diverging on results.
+//! bitwise-identical `CycleResult`s to `Session::drive`, to the batch
+//! `replay` at every shard count, and to the scenario streaming driver —
+//! across the full scenario registry, for both general-purpose solver
+//! backends and both budget-accounting modes. This is the contract that lets
+//! ingest loops, batch replays and sharded benchmarks share one engine
+//! without ever diverging on results.
 
-use sag_core::engine::{AuditCycleEngine, EngineConfig, ReplayJob};
+use sag_core::engine::{AuditCycleEngine, BudgetAccounting};
 use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
-use sag_scenarios::{registry, Scenario};
+use sag_scenarios::{registry, run_scenario, stream_scenario, ReplayOptions, Scenario};
 use sag_sim::AlertLog;
 
 /// Zero the wall-clock timing field so results can be compared exactly.
@@ -20,17 +21,21 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 }
 
 /// Stream every rolling group of `scenario` through a session and check the
-/// results against the batch wrappers, bitwise.
+/// results against the batch paths, bitwise.
 fn assert_streaming_equivalence(
     scenario: &dyn Scenario,
     backend: SolverBackendKind,
+    accounting: BudgetAccounting,
     seed: u64,
     history_days: u32,
     days: u32,
 ) {
-    let mut config: EngineConfig = scenario.engine_config();
-    config.backend = backend;
-    let engine = AuditCycleEngine::new(config).expect("scenario engine");
+    let mut options = ReplayOptions::new(scenario, seed);
+    options.history_days = history_days;
+    options.test_days = days - history_days;
+    options.config.backend = backend;
+    options.config.accounting = accounting;
+    let engine = AuditCycleEngine::new(options.config.clone()).expect("scenario engine");
     let log = AlertLog::new(scenario.generate_days(seed, days));
     let groups = log.rolling_groups(history_days as usize);
     assert!(
@@ -50,44 +55,57 @@ fn assert_streaming_equivalence(
         }
         streamed.push(untimed(session.finish()));
     }
-
-    // Batch leg 1: run_day per group (flat-budget scenarios only — run_day
-    // has no budget override).
     let name = scenario.name();
-    if groups
-        .iter()
-        .all(|&(_, t)| scenario.budget_for_day(t.day()).is_none())
-    {
-        for (&(history, test_day), reference) in groups.iter().zip(&streamed) {
-            let batch = untimed(engine.run_day(history, test_day).expect("day replays"));
-            assert_eq!(
-                &batch,
-                reference,
-                "{name} [{backend:?}]: run_day disagrees with streaming on day {}",
-                test_day.day()
-            );
-        }
+    let label = format!("{name} [{backend:?}, {accounting:?}]");
+
+    // Batch leg 1: Session::drive per group.
+    for (&(history, test_day), reference) in groups.iter().zip(&streamed) {
+        let driven = engine
+            .open_day(history, scenario.budget_for_day(test_day.day()))
+            .expect("session opens")
+            .drive(test_day)
+            .expect("day replays");
+        assert_eq!(
+            &untimed(driven),
+            reference,
+            "{label}: drive disagrees with streaming on day {}",
+            test_day.day()
+        );
     }
 
-    // Batch leg 2: replay_sharded at several shard counts.
-    let jobs: Vec<ReplayJob<'_>> = groups
-        .iter()
-        .map(|&(history, test_day)| ReplayJob {
-            history,
-            test_day,
-            budget: scenario.budget_for_day(test_day.day()),
-        })
-        .collect();
-    for shards in [1, 2, jobs.len() * 2] {
-        let sharded: Vec<CycleResult> = engine
-            .replay_sharded(&jobs, shards)
+    // Batch leg 2: replay at several shard counts.
+    for shards in [1, 2, groups.len() * 2] {
+        let sharded: Vec<CycleResult> = run_scenario(scenario, &options, shards)
             .expect("sharded replays")
+            .cycles
             .into_iter()
             .map(untimed)
             .collect();
         assert_eq!(
             streamed, sharded,
-            "{name} [{backend:?}]: {shards} shard(s) disagree with streaming"
+            "{label}: {shards} shard(s) disagree with streaming"
+        );
+    }
+
+    // The scenario streaming driver pushes the same alerts.
+    let timed: Vec<CycleResult> = stream_scenario(scenario, &options)
+        .expect("streamed replay")
+        .run
+        .cycles
+        .into_iter()
+        .map(untimed)
+        .collect();
+    assert_eq!(streamed, timed, "{label}: stream_scenario disagrees");
+
+    // Sampled signals split the two worlds' budgets, so the online world
+    // runs its own LP chain; the legs above must have covered it.
+    if accounting != BudgetAccounting::Expected {
+        assert!(
+            streamed
+                .iter()
+                .flat_map(|c| &c.outcomes)
+                .any(|o| o.budget_after_online != o.budget_after_ossp),
+            "{label}: the online world never diverged"
         );
     }
 }
@@ -95,13 +113,41 @@ fn assert_streaming_equivalence(
 #[test]
 fn every_registered_scenario_streams_identically_on_the_auto_backend() {
     for scenario in registry() {
-        assert_streaming_equivalence(scenario.as_ref(), SolverBackendKind::Auto, 2026, 4, 7);
+        assert_streaming_equivalence(
+            scenario.as_ref(),
+            SolverBackendKind::Auto,
+            BudgetAccounting::Expected,
+            2026,
+            4,
+            7,
+        );
     }
 }
 
 #[test]
 fn every_registered_scenario_streams_identically_on_the_lp_backend() {
     for scenario in registry() {
-        assert_streaming_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp, 2026, 4, 7);
+        assert_streaming_equivalence(
+            scenario.as_ref(),
+            SolverBackendKind::SimplexLp,
+            BudgetAccounting::Expected,
+            2026,
+            4,
+            7,
+        );
+    }
+}
+
+#[test]
+fn every_registered_scenario_streams_identically_under_sampled_accounting() {
+    for scenario in registry() {
+        assert_streaming_equivalence(
+            scenario.as_ref(),
+            SolverBackendKind::Auto,
+            BudgetAccounting::Sampled { seed: 77 },
+            2026,
+            4,
+            7,
+        );
     }
 }

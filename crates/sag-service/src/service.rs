@@ -821,12 +821,8 @@ impl AuditService {
 /// the batch path exercises exactly what a live driver loop runs.
 fn replay_job(tenant: &Tenant, job: &ServiceJob<'_>) -> Result<CycleResult, ServiceError> {
     let history = job.history.unwrap_or(&tenant.history);
-    let mut session = tenant.engine.open_day_owned(history, job.budget)?;
-    session.set_day(job.test_day.day());
-    for alert in job.test_day.alerts() {
-        session.push_alert(alert)?;
-    }
-    Ok(session.finish())
+    let session = tenant.engine.open_day_owned(history, job.budget)?;
+    Ok(session.drive(job.test_day)?)
 }
 
 /// Validated construction of an [`AuditService`]: register tenants (each an

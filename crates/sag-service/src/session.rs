@@ -44,7 +44,7 @@ impl fmt::Display for SessionId {
 /// its service-unique [`SessionId`]. It can therefore be stored in a
 /// `HashMap`, queued, or moved onto another thread, and driving it produces
 /// a [`CycleResult`] bitwise identical to the engine's batch
-/// [`run_day`](sag_core::AuditCycleEngine::run_day) on the same alerts.
+/// [`replay`](sag_core::AuditCycleEngine::replay) of the same alerts.
 ///
 /// ```
 /// use sag_core::EngineBuilder;
@@ -157,18 +157,14 @@ impl SessionHandle {
         self.session.finish()
     }
 
-    /// Convenience batch path: pin the day, push every alert of a recorded
-    /// [`DayLog`] in order, and finish. Bitwise identical to the engine's
-    /// [`run_day`](sag_core::AuditCycleEngine::run_day) on the same log.
+    /// Stream a recorded [`DayLog`] through this session (see
+    /// [`sag_core::engine::Session::drive`]): pin the day, push every alert
+    /// in order, and finish.
     ///
     /// # Errors
     ///
     /// Wraps engine solver errors as [`ServiceError::Engine`].
-    pub fn drive(mut self, day: &DayLog) -> Result<CycleResult, ServiceError> {
-        self.set_day(day.day());
-        for alert in day.alerts() {
-            self.push_alert(alert)?;
-        }
-        Ok(self.finish())
+    pub fn drive(self, day: &DayLog) -> Result<CycleResult, ServiceError> {
+        Ok(self.session.drive(day)?)
     }
 }

@@ -1,8 +1,8 @@
 //! Front-door integration tests: owned handles across threads, the command
 //! loop multiplexing tenants, and concurrent batch replay — all bitwise
-//! against the engine's own `run_day`.
+//! against the engine's own batch `replay`.
 
-use sag_core::{AuditCycleEngine, ConfigError, CycleResult, EngineBuilder, SagError};
+use sag_core::{AuditCycleEngine, ConfigError, CycleResult, EngineBuilder, ReplayJob, SagError};
 use sag_service::{AuditService, Request, Response, ServiceError, ServiceJob, TenantId};
 use sag_sim::{DayLog, StreamConfig, StreamGenerator};
 use std::collections::HashMap;
@@ -30,7 +30,8 @@ fn single_type_logs(seed: u64) -> (Vec<DayLog>, DayLog) {
 
 /// The engine's batch answer for the same logs, for bitwise comparison.
 fn reference(engine: &AuditCycleEngine, history: &[DayLog], day: &DayLog) -> CycleResult {
-    untimed(engine.run_day(history, day).unwrap())
+    let job = ReplayJob::new(history, day);
+    untimed(engine.replay(&[job], 1).unwrap().remove(0))
 }
 
 #[test]

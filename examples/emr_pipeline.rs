@@ -76,7 +76,8 @@ fn main() {
         .build()
         .expect("valid configuration");
     let result = audit_engine
-        .run_day(&history, &test_day)
+        .open_day(&history, None)
+        .and_then(|session| session.drive(&test_day))
         .expect("replay succeeds");
 
     let summary = ExperimentSummary::from_cycles(std::slice::from_ref(&result));

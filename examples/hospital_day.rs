@@ -32,7 +32,8 @@ fn main() {
         .build()
         .expect("paper configuration is valid");
     let result = engine
-        .run_day(&history, &test_day)
+        .open_day(&history, None)
+        .and_then(|session| session.drive(&test_day))
         .expect("replay succeeds");
 
     // Hourly averages of the three per-alert utility series.

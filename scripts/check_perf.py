@@ -442,7 +442,7 @@ def check_durability(scenarios, scenario_baseline, floor):
 def check_sharding(scenarios):
     """BENCH_2: sharded replay must actually scale on multi-core runners."""
     # The comparison is only meaningful when the binary was built with the
-    # `parallel` feature (otherwise replay_sharded runs sequentially and the
+    # `parallel` feature (otherwise replay runs sequentially and the
     # "speedup" is pure timer noise) — the perf-smoke job always builds with
     # it, so a missing feature flag is a CI misconfiguration and fails hard.
     # On < 4 cores a speedup is physically impossible; BENCH_2 records the

@@ -153,8 +153,8 @@ pub mod prelude {
     pub use sag_lp::{LpProblem, Objective as LpObjective, Relation};
     pub use sag_net::{Client, Server, ServerConfig};
     pub use sag_scenarios::{
-        find_scenario, registry, run_scenario, run_scenario_service, run_scenario_sized,
-        stream_scenario_sized, Scenario, ScenarioRun, ServiceRun, StreamingRun,
+        find_scenario, registry, run_scenario, run_scenario_service, stream_scenario,
+        ReplayOptions, Scenario, ScenarioRun, ServiceRun, StreamingRun,
     };
     pub use sag_service::{
         AuditService, DurabilityOptions, Request, Response, ServiceBuilder, ServiceError,

@@ -9,6 +9,11 @@ use sag::sim::access::{AccessConfig, AccessGenerator};
 use sag::sim::population::{Population, PopulationConfig};
 use sag::sim::rules::RuleEngine;
 
+/// Replay one recorded day through a fresh session.
+fn replay_day(engine: &AuditCycleEngine, history: &[DayLog], day: &DayLog) -> CycleResult {
+    engine.open_day(history, None).unwrap().drive(day).unwrap()
+}
+
 /// Full pipeline: population -> accesses -> rule engine -> audit engine.
 #[test]
 fn emr_pipeline_produces_consistent_audit_decisions() {
@@ -31,7 +36,7 @@ fn emr_pipeline_produces_consistent_audit_decisions() {
     let mut config = EngineConfig::paper_multi_type();
     config.game.budget = 5.0;
     let engine = AuditCycleEngine::new(config).unwrap();
-    let result = engine.run_day(&history, &test_day).unwrap();
+    let result = replay_day(&engine, &history, &test_day);
 
     assert_eq!(result.len(), test_day.len());
     for outcome in &result.outcomes {
@@ -52,7 +57,7 @@ fn calibrated_stream_replay_matches_paper_shape() {
     let test_day = generator.generate_day(20);
 
     let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-    let result = engine.run_day(&history, &test_day).unwrap();
+    let result = replay_day(&engine, &history, &test_day);
     let summary = ExperimentSummary::from_cycles(std::slice::from_ref(&result));
 
     // Shape of the paper's Figure 3: OSSP >= online SSE >= offline SSE (on
@@ -91,7 +96,7 @@ fn budget_is_never_exceeded_over_a_day() {
     let history = generator.generate_days(15);
     let test_day = generator.generate_day(15);
     let engine = AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap();
-    let result = engine.run_day(&history, &test_day).unwrap();
+    let result = replay_day(&engine, &history, &test_day);
 
     let budget = engine.config().game.budget;
     let total_spent_ossp: f64 = result
@@ -117,7 +122,7 @@ fn replays_are_deterministic() {
         let history = generator.generate_days(10);
         let test_day = generator.generate_day(10);
         let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-        let result = engine.run_day(&history, &test_day).unwrap();
+        let result = replay_day(&engine, &history, &test_day);
         UtilitySeries::from_cycle(&result)
     };
     let a = run();

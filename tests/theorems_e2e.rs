@@ -20,7 +20,8 @@ fn replay(seed: u64, single: bool) -> (EngineConfig, CycleResult) {
         EngineConfig::paper_multi_type()
     };
     let engine = AuditCycleEngine::new(config.clone()).unwrap();
-    (config, engine.run_day(&history, &test_day).unwrap())
+    let session = engine.open_day(&history, None).unwrap();
+    (config, session.drive(&test_day).unwrap())
 }
 
 /// Theorem 1: the OSSP scheme's marginal audit probability equals the online

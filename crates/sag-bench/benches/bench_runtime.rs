@@ -3,7 +3,7 @@
 //! latency a user would experience before the warning dialog can be shown.
 //! The paper reports ≈ 0.02 s per alert on 2017 laptop hardware.
 //!
-//! Game setups are shared with `bench_throughput.rs` through
+//! Game setups are shared with the `BENCH_1` throughput experiment through
 //! `sag_bench::setup`.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -28,10 +28,11 @@
 //! SIGKILLs a real `--server-bin` release binary mid-burst and requires
 //! the redialled client to converge through `--recover`.
 //!
-//! Exit status is non-zero when the load run fails, when any scraped
-//! metrics identity is violated, when a chaos leg diverges from its
-//! control, or (in-process) when the shed probe is inconclusive — so CI
-//! can gate on the binary alone.
+//! The measured section is printed in its `BENCH_2.json` form. Exit status
+//! is non-zero when the load run fails, when any scraped metrics identity
+//! is violated, when a chaos leg diverges from its control, or (in-process)
+//! when the shed probe is inconclusive — so CI can gate on the binary
+//! alone.
 
 use sag_bench::netload::{
     merge_service_chaos, merge_service_network, run_kill_recover, ChaosLoadConfig, NetLoadConfig,
@@ -64,31 +65,7 @@ fn run_chaos(args: &[String], out: &str) {
             std::process::exit(1);
         }
     };
-    println!(
-        "  goodput   : {} alerts in {:.3} s ({:.0} alerts/sec) under {} injected faults",
-        report.alerts, report.wall_seconds, report.goodput_alerts_per_sec, report.faults_injected
-    );
-    println!(
-        "  resilience: {} retries, {} reconnects, {} replies skipped client-side",
-        report.retries, report.reconnects, report.client_duplicates_skipped
-    );
-    println!(
-        "  dedup     : {} suppressed, {} replayed server-side",
-        report.duplicates_suppressed, report.duplicates_replayed
-    );
-    println!(
-        "  bitwise   : {} / recovery {}",
-        if report.bitwise_equal {
-            "identical to the unfaulted control"
-        } else {
-            "DIVERGED"
-        },
-        if report.recovery_converged {
-            "converged"
-        } else {
-            "DID NOT CONVERGE"
-        },
-    );
+    println!("{}", report.to_json().render());
 
     let mut failed = !report.bitwise_equal || !report.recovery_converged;
     if args.iter().any(|a| a == "--chaos-kill") {
@@ -172,37 +149,7 @@ fn main() {
         }
     };
 
-    println!(
-        "  served    : {} alerts / {} requests in {:.3} s ({:.0} alerts/sec sustained)",
-        report.alerts, report.requests, report.wall_seconds, report.alerts_per_sec
-    );
-    println!(
-        "  latency   : p50 {:.0} us, p95 {:.0} us, p99 {:.0} us, max {:.0} us",
-        report.latency.p50, report.latency.p95, report.latency.p99, report.latency.max
-    );
-    if report.shards > 1 {
-        for s in &report.per_shard {
-            println!(
-                "  shard {}   : {} tenant(s), {} alerts, {} shed retries, p50 {:.0} us, p99 {:.0} us",
-                s.shard, s.tenants, s.alerts, s.shed_retries, s.p50_micros, s.p99_micros
-            );
-        }
-    }
-    match &report.shed_probe {
-        Some(probe) => println!(
-            "  shed probe: burst {} vs quota {} -> {} served, {} shed, {} retried ok",
-            probe.burst, probe.quota, probe.served, probe.shed, probe.retried_ok
-        ),
-        None => println!("  shed probe: skipped (external server owns its config)"),
-    }
-    println!(
-        "  metrics   : {}",
-        if report.metrics_consistent {
-            "every scraped counter identity holds".to_owned()
-        } else {
-            format!("INCONSISTENT — {}", report.metrics_notes.join("; "))
-        }
-    );
+    println!("{}", report.to_json().render());
 
     if !out.is_empty() {
         if let Err(e) = merge_service_network(&out, &report) {

@@ -5,8 +5,9 @@
 //! * [`experiments`] — the workload generators and experiment drivers that
 //!   regenerate every table and figure of the paper (see `DESIGN.md` for the
 //!   experiment index E1–E7);
-//! * [`report`] — plain-text/CSV rendering of the results, used by the
-//!   `repro_*` binaries and recorded in `EXPERIMENTS.md`.
+//! * [`report`] — plain-text rendering of the results for the `repro_*`
+//!   binaries, and the [`Json`] tree every machine-readable BENCH report
+//!   is built as and printed by.
 //!
 //! The Criterion benches under `benches/` measure the computational cost of
 //! the same code paths (per-alert optimization time, LP solves, stream
@@ -23,22 +24,19 @@ pub mod setup;
 pub mod sweeps;
 pub mod throughput;
 
-pub use cluster::{cluster_scaling_report, ClusterScalePoint, ClusterScalingReport};
+pub use cluster::{scaling_report, ScalingLeg, ScalingPoint, ScalingReport, ScalingWorkload};
 pub use experiments::{
     figure2_experiment, figure3_experiment, rollback_ablation, run_figure_experiment,
     runtime_experiment, table1_experiment, ExperimentOutput, FigureExperimentConfig,
     RollbackAblation, RuntimeStats, Table1Row,
 };
 pub use netload::{
-    merge_service_chaos, merge_service_network, render_chaos_json, render_network_json,
-    run_chaos_load, run_kill_recover, run_network_load, ChaosLoadConfig, ChaosLoadReport,
-    KillRecoverReport, LatencyMicros, NetLoadConfig, NetLoadReport, ShardLoadReport,
-    ShedProbeReport,
+    merge_service_chaos, merge_service_network, run_chaos_load, run_kill_recover, run_network_load,
+    ChaosLoadConfig, ChaosLoadReport, KillRecoverReport, LatencyMicros, NetLoadConfig,
+    NetLoadReport, ShardLoadReport, ShedProbeReport,
 };
-pub use scenario_suite::{
-    render_suite_json, scenario_suite, ScenarioReport, ScenarioSuiteReport, ShardingReport,
-    SuiteConfig,
-};
+pub use report::Json;
+pub use scenario_suite::{scenario_suite, ScenarioReport, ScenarioSuiteReport, SuiteConfig};
 pub use sweeps::{budget_sweep, rolling_group_summaries, BudgetSweepPoint, GroupResult};
 pub use throughput::{
     streaming_experiment, throughput_experiment, warm_vs_cold_5type, StreamingLatencyReport,

@@ -28,7 +28,7 @@
 //! routes with. The scraped identities are cluster-wide aggregates either
 //! way.
 
-use crate::scenario_suite::json_escape;
+use crate::report::Json;
 use sag_cluster::ShardRouter;
 use sag_net::{
     fetch_metrics, parse_metric, ChaosPlan, ChaosProxy, Client, ClientConfig, Direction, Fault,
@@ -36,7 +36,6 @@ use sag_net::{
 };
 use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_cluster_parts, FleetTenant};
 use sag_service::{Request, Response};
-use std::fmt::Write as _;
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
 
@@ -1076,121 +1075,83 @@ pub fn run_kill_recover(
     run
 }
 
-/// Render the report as the `"service_network"` JSON object (the value
-/// only, indented to sit at the top level of `BENCH_2.json`).
-#[must_use]
-pub fn render_network_json(report: &NetLoadReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "    \"scenario\": \"{}\",",
-        json_escape(&report.scenario)
-    );
-    let _ = writeln!(out, "    \"tenants\": {},", report.tenants);
-    let _ = writeln!(out, "    \"shards\": {},", report.shards);
-    let _ = writeln!(out, "    \"days_per_tenant\": {},", report.days_per_tenant);
-    let _ = writeln!(out, "    \"alerts\": {},", report.alerts);
-    let _ = writeln!(out, "    \"requests\": {},", report.requests);
-    let _ = writeln!(out, "    \"wall_seconds\": {:.6},", report.wall_seconds);
-    let _ = writeln!(out, "    \"alerts_per_sec\": {:.2},", report.alerts_per_sec);
-    let _ = writeln!(out, "    \"latency_micros\": {{");
-    let _ = writeln!(out, "      \"p50\": {:.1},", report.latency.p50);
-    let _ = writeln!(out, "      \"p95\": {:.1},", report.latency.p95);
-    let _ = writeln!(out, "      \"p99\": {:.1},", report.latency.p99);
-    let _ = writeln!(out, "      \"max\": {:.1}", report.latency.max);
-    let _ = writeln!(out, "    }},");
-    if report.shards > 1 {
-        let _ = writeln!(out, "    \"per_shard\": [");
-        let last = report.per_shard.len().saturating_sub(1);
-        for (i, s) in report.per_shard.iter().enumerate() {
-            let _ = writeln!(out, "      {{");
-            let _ = writeln!(out, "        \"shard\": {},", s.shard);
-            let _ = writeln!(out, "        \"tenants\": {},", s.tenants);
-            let _ = writeln!(out, "        \"alerts\": {},", s.alerts);
-            let _ = writeln!(out, "        \"shed_retries\": {},", s.shed_retries);
-            let _ = writeln!(out, "        \"p50_micros\": {:.1},", s.p50_micros);
-            let _ = writeln!(out, "        \"p99_micros\": {:.1}", s.p99_micros);
-            let _ = writeln!(out, "      }}{}", if i == last { "" } else { "," });
-        }
-        let _ = writeln!(out, "    ],");
+impl NetLoadReport {
+    /// The `service_network` section of `BENCH_2.json`. The per-shard
+    /// breakdown appears only for a sharded run, the shed probe only when
+    /// it ran, and the notes only when an identity was violated.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let per_shard = (self.shards > 1).then(|| {
+            let shards = self.per_shard.iter().map(|s| {
+                Json::object()
+                    .field("shard", s.shard)
+                    .field("tenants", s.tenants)
+                    .field("alerts", s.alerts)
+                    .field("shed_retries", s.shed_retries)
+                    .fixed("p50_micros", s.p50_micros, 1)
+                    .fixed("p99_micros", s.p99_micros, 1)
+            });
+            shards.collect::<Vec<_>>()
+        });
+        let shed_probe = self.shed_probe.map(|probe| {
+            Json::object()
+                .field("burst", probe.burst)
+                .field("quota", probe.quota)
+                .field("shed", probe.shed)
+                .field("served", probe.served)
+                .field("retried_ok", probe.retried_ok)
+        });
+        let notes = (!self.metrics_notes.is_empty()).then(|| {
+            self.metrics_notes
+                .iter()
+                .map(|n| n.as_str().into())
+                .collect::<Vec<Json>>()
+        });
+        Json::object()
+            .field("scenario", self.scenario.as_str())
+            .field("tenants", self.tenants)
+            .field("shards", self.shards)
+            .field("days_per_tenant", self.days_per_tenant)
+            .field("alerts", self.alerts)
+            .field("requests", self.requests)
+            .fixed("wall_seconds", self.wall_seconds, 6)
+            .fixed("alerts_per_sec", self.alerts_per_sec, 2)
+            .field(
+                "latency_micros",
+                Json::object()
+                    .fixed("p50", self.latency.p50, 1)
+                    .fixed("p95", self.latency.p95, 1)
+                    .fixed("p99", self.latency.p99, 1)
+                    .fixed("max", self.latency.max, 1),
+            )
+            .maybe("per_shard", per_shard)
+            .maybe("shed_probe", shed_probe)
+            .field("metrics_consistent", self.metrics_consistent)
+            .maybe("metrics_notes", notes)
+            .field("threads_available", self.threads_available)
     }
-    if let Some(probe) = &report.shed_probe {
-        let _ = writeln!(out, "    \"shed_probe\": {{");
-        let _ = writeln!(out, "      \"burst\": {},", probe.burst);
-        let _ = writeln!(out, "      \"quota\": {},", probe.quota);
-        let _ = writeln!(out, "      \"shed\": {},", probe.shed);
-        let _ = writeln!(out, "      \"served\": {},", probe.served);
-        let _ = writeln!(out, "      \"retried_ok\": {}", probe.retried_ok);
-        let _ = writeln!(out, "    }},");
-    }
-    let _ = writeln!(
-        out,
-        "    \"metrics_consistent\": {},",
-        report.metrics_consistent
-    );
-    if !report.metrics_notes.is_empty() {
-        let notes = report
-            .metrics_notes
-            .iter()
-            .map(|n| format!("\"{}\"", json_escape(n)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        let _ = writeln!(out, "    \"metrics_notes\": [{notes}],");
-    }
-    let _ = writeln!(
-        out,
-        "    \"threads_available\": {}",
-        report.threads_available
-    );
-    out.push_str("  }");
-    out
 }
 
-/// Render the report as the `"service_chaos"` JSON object (the value only,
-/// indented to sit at the top level of `BENCH_2.json`).
-#[must_use]
-pub fn render_chaos_json(report: &ChaosLoadReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(
-        out,
-        "    \"scenario\": \"{}\",",
-        json_escape(&report.scenario)
-    );
-    let _ = writeln!(out, "    \"tenants\": {},", report.tenants);
-    let _ = writeln!(out, "    \"days_per_tenant\": {},", report.days_per_tenant);
-    let _ = writeln!(out, "    \"alerts\": {},", report.alerts);
-    let _ = writeln!(out, "    \"wall_seconds\": {:.6},", report.wall_seconds);
-    let _ = writeln!(
-        out,
-        "    \"goodput_alerts_per_sec\": {:.2},",
-        report.goodput_alerts_per_sec
-    );
-    let _ = writeln!(out, "    \"faults_injected\": {},", report.faults_injected);
-    let _ = writeln!(out, "    \"retries\": {},", report.retries);
-    let _ = writeln!(out, "    \"reconnects\": {},", report.reconnects);
-    let _ = writeln!(
-        out,
-        "    \"client_duplicates_skipped\": {},",
-        report.client_duplicates_skipped
-    );
-    let _ = writeln!(
-        out,
-        "    \"duplicates_suppressed\": {},",
-        report.duplicates_suppressed
-    );
-    let _ = writeln!(
-        out,
-        "    \"duplicates_replayed\": {},",
-        report.duplicates_replayed
-    );
-    let _ = writeln!(out, "    \"bitwise_equal\": {},", report.bitwise_equal);
-    let _ = writeln!(
-        out,
-        "    \"recovery_converged\": {}",
-        report.recovery_converged
-    );
-    out.push_str("  }");
-    out
+impl ChaosLoadReport {
+    /// The `service_chaos` section of `BENCH_2.json`.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        Json::object()
+            .field("scenario", self.scenario.as_str())
+            .field("tenants", self.tenants)
+            .field("days_per_tenant", self.days_per_tenant)
+            .field("alerts", self.alerts)
+            .fixed("wall_seconds", self.wall_seconds, 6)
+            .fixed("goodput_alerts_per_sec", self.goodput_alerts_per_sec, 2)
+            .field("faults_injected", self.faults_injected)
+            .field("retries", self.retries)
+            .field("reconnects", self.reconnects)
+            .field("client_duplicates_skipped", self.client_duplicates_skipped)
+            .field("duplicates_suppressed", self.duplicates_suppressed)
+            .field("duplicates_replayed", self.duplicates_replayed)
+            .field("bitwise_equal", self.bitwise_equal)
+            .field("recovery_converged", self.recovery_converged)
+    }
 }
 
 /// Merge the report into `path` as the top-level `"service_network"` key.
@@ -1206,7 +1167,7 @@ pub fn render_chaos_json(report: &ChaosLoadReport) -> String {
 /// Propagates filesystem errors; rejects a file that does not look like a
 /// JSON object.
 pub fn merge_service_network(path: &str, report: &NetLoadReport) -> std::io::Result<()> {
-    merge_member(path, "service_network", &render_network_json(report))
+    merge_member(path, "service_network", &report.to_json())
 }
 
 /// Merge the chaos report into `path` as the top-level `"service_chaos"`
@@ -1217,13 +1178,13 @@ pub fn merge_service_network(path: &str, report: &NetLoadReport) -> std::io::Res
 /// Propagates filesystem errors; rejects a file that does not look like a
 /// JSON object.
 pub fn merge_service_chaos(path: &str, report: &ChaosLoadReport) -> std::io::Result<()> {
-    merge_member(path, "service_chaos", &render_chaos_json(report))
+    merge_member(path, "service_chaos", &report.to_json())
 }
 
 /// Insert (or replace) one top-level object-valued member of the JSON
 /// document at `path`, creating a minimal document when the file is
 /// missing.
-fn merge_member(path: &str, key: &str, section: &str) -> std::io::Result<()> {
+fn merge_member(path: &str, key: &str, section: &Json) -> std::io::Result<()> {
     let body = match std::fs::read_to_string(path) {
         Ok(text) => {
             let text = strip_member(text.trim_end(), key);
@@ -1236,10 +1197,13 @@ fn merge_member(path: &str, key: &str, section: &str) -> std::io::Result<()> {
             let prefix = text[..close].trim_end();
             // An empty object gets no separating comma.
             let sep = if prefix.ends_with('{') { "\n" } else { ",\n" };
-            format!("{prefix}{sep}  \"{key}\": {section}\n}}\n")
+            format!("{prefix}{sep}  \"{key}\": {}\n}}\n", section.render_at(1))
         }
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => {
-            format!("{{\n  \"bench\": \"service_network_load\",\n  \"{key}\": {section}\n}}\n")
+            let document = Json::object()
+                .field("bench", "service_network_load")
+                .field(key, section.clone());
+            format!("{}\n", document.render())
         }
         Err(e) => return Err(e),
     };
@@ -1422,15 +1386,18 @@ mod tests {
         report.shed_probe = None;
         report.metrics_consistent = false;
         report.metrics_notes = vec!["sag_shed_total = 1, expected 0".to_owned()];
-        let json = render_network_json(&report);
-        assert!(!json.contains("shed_probe"));
-        assert!(
-            !json.contains("per_shard"),
+        let json = report.to_json();
+        assert_eq!(json.get("shed_probe"), None);
+        assert_eq!(
+            json.get("per_shard"),
+            None,
             "unsharded report should omit the per-shard breakdown"
         );
-        assert!(json.contains("\"metrics_consistent\": false"));
-        assert!(json.contains("\"metrics_notes\": [\"sag_shed_total = 1, expected 0\"]"));
-        assert!(!json.contains(",\n  }"), "trailing comma before close");
+        assert_eq!(json.get("metrics_consistent"), Some(&Json::Bool(false)));
+        assert_eq!(
+            json.get("metrics_notes"),
+            Some(&Json::Array(vec!["sag_shed_total = 1, expected 0".into()]))
+        );
     }
 
     #[test]
@@ -1455,11 +1422,14 @@ mod tests {
                 p99_micros: 31.0,
             },
         ];
-        let json = render_network_json(&report);
-        assert!(json.contains("\"shards\": 2"));
-        assert!(json.contains("\"per_shard\": ["));
-        assert_eq!(json.matches("\"shed_retries\"").count(), 2);
-        assert!(json.contains("\"p99_micros\": 31.0"));
-        assert!(!json.contains(",\n      }"), "trailing comma in a shard");
+        let json = report.to_json();
+        assert_eq!(json.get("shards"), Some(&Json::Int(2)));
+        assert_eq!(json.get("per_shard.0.shed_retries"), Some(&Json::Int(0)));
+        assert_eq!(json.get("per_shard.1.shed_retries"), Some(&Json::Int(0)));
+        assert_eq!(json.get("per_shard.2"), None);
+        assert_eq!(
+            json.get("per_shard.1.p99_micros"),
+            Some(&Json::Fixed(31.0, 1))
+        );
     }
 }

@@ -1,10 +1,192 @@
-//! Plain-text and CSV rendering of experiment results.
+//! Rendering of experiment results: plain-text tables for the paper's
+//! tables and figures, and the [`Json`] tree every machine-readable BENCH
+//! report is built as and printed by.
 
 use crate::experiments::{ExperimentOutput, RollbackAblation, RuntimeStats, Table1Row};
 use sag_core::metrics::ExperimentSummary;
 use sag_core::model::PayoffTable;
 use sag_sim::AlertTypeId;
 use std::fmt::Write as _;
+
+/// One value of a BENCH report (`BENCH_1.json`, `BENCH_2.json` and the
+/// sections `load_gen` merges into it). Every report is built as a `Json`
+/// tree and printed by [`Json::render`], the one JSON writer of this crate.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Json {
+    /// An object; members keep their insertion order.
+    Object(Vec<(String, Json)>),
+    /// An array.
+    Array(Vec<Json>),
+    /// A non-negative integer.
+    Int(u64),
+    /// A float printed with a fixed number of decimals.
+    Fixed(f64, usize),
+    /// A string, escaped on output by `json_escape`.
+    Str(String),
+    /// A boolean.
+    Bool(bool),
+}
+
+impl Json {
+    /// An empty object, to be filled with [`field`](Self::field).
+    #[must_use]
+    pub fn object() -> Json {
+        Json::Object(Vec::new())
+    }
+
+    /// Append member `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `self` is not an object (a bug in the report builder).
+    #[must_use]
+    pub fn field(mut self, key: &str, value: impl Into<Json>) -> Json {
+        let Json::Object(members) = &mut self else {
+            panic!("member {key:?} added to a non-object");
+        };
+        members.push((key.to_owned(), value.into()));
+        self
+    }
+
+    /// Append member `key` as a float with `decimals` decimals.
+    #[must_use]
+    pub fn fixed(self, key: &str, value: f64, decimals: usize) -> Json {
+        self.field(key, Json::Fixed(value, decimals))
+    }
+
+    /// Append member `key` only when `value` is present.
+    #[must_use]
+    pub fn maybe(self, key: &str, value: Option<impl Into<Json>>) -> Json {
+        match value {
+            Some(value) => self.field(key, value),
+            None => self,
+        }
+    }
+
+    /// The value at a dotted `path` of object keys and array indices
+    /// (`"lp_kernel.sizes.2.speedup"`); `None` when any step is missing.
+    #[must_use]
+    pub fn get(&self, path: &str) -> Option<&Json> {
+        path.split('.').try_fold(self, |node, step| match node {
+            Json::Object(members) => members.iter().find(|(k, _)| k == step).map(|(_, v)| v),
+            Json::Array(items) => items.get(step.parse::<usize>().ok()?),
+            _ => None,
+        })
+    }
+
+    /// The pretty-printed JSON text: two-space indent, one member or
+    /// element per line, no trailing newline.
+    #[must_use]
+    pub fn render(&self) -> String {
+        self.render_at(0)
+    }
+
+    /// [`render`](Self::render) as if nested `depth` levels deep: the first
+    /// line is not indented, every following line is.
+    pub(crate) fn render_at(&self, depth: usize) -> String {
+        let mut out = String::new();
+        self.write(&mut out, depth);
+        out
+    }
+
+    fn write(&self, out: &mut String, depth: usize) {
+        let pad = |out: &mut String, depth: usize| out.push_str(&"  ".repeat(depth));
+        match self {
+            Json::Object(members) if members.is_empty() => out.push_str("{}"),
+            Json::Array(items) if items.is_empty() => out.push_str("[]"),
+            Json::Object(members) => {
+                out.push('{');
+                for (i, (key, value)) in members.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    pad(out, depth + 1);
+                    let _ = write!(out, "\"{}\": ", json_escape(key));
+                    value.write(out, depth + 1);
+                }
+                out.push('\n');
+                pad(out, depth);
+                out.push('}');
+            }
+            Json::Array(items) => {
+                out.push('[');
+                for (i, item) in items.iter().enumerate() {
+                    out.push_str(if i == 0 { "\n" } else { ",\n" });
+                    pad(out, depth + 1);
+                    item.write(out, depth + 1);
+                }
+                out.push('\n');
+                pad(out, depth);
+                out.push(']');
+            }
+            Json::Int(n) => {
+                let _ = write!(out, "{n}");
+            }
+            Json::Fixed(x, decimals) => {
+                let _ = write!(out, "{x:.decimals$}");
+            }
+            Json::Str(s) => {
+                let _ = write!(out, "\"{}\"", json_escape(s));
+            }
+            Json::Bool(b) => {
+                let _ = write!(out, "{b}");
+            }
+        }
+    }
+}
+
+impl From<u64> for Json {
+    fn from(n: u64) -> Json {
+        Json::Int(n)
+    }
+}
+
+impl From<u32> for Json {
+    fn from(n: u32) -> Json {
+        Json::Int(n.into())
+    }
+}
+
+impl From<usize> for Json {
+    fn from(n: usize) -> Json {
+        Json::Int(n as u64)
+    }
+}
+
+impl From<bool> for Json {
+    fn from(b: bool) -> Json {
+        Json::Bool(b)
+    }
+}
+
+impl From<&str> for Json {
+    fn from(s: &str) -> Json {
+        Json::Str(s.to_owned())
+    }
+}
+
+impl From<Vec<Json>> for Json {
+    fn from(items: Vec<Json>) -> Json {
+        Json::Array(items)
+    }
+}
+
+/// Escape a string for embedding in a JSON string literal.
+pub(crate) fn json_escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for c in s.chars() {
+        match c {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\t' => out.push_str("\\t"),
+            '\r' => out.push_str("\\r"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
 
 /// Render the reproduced Table 1 (paper vs. measured daily statistics).
 #[must_use]
@@ -204,6 +386,34 @@ mod tests {
         assert!(text.contains("summary"));
         // Down-sampling keeps the report bounded.
         assert!(text.lines().count() < 60);
+    }
+
+    #[test]
+    fn json_renders_nested_pretty_text() {
+        let tree = Json::object()
+            .field("bench", "x \"y\"")
+            .field("alerts", 3u64)
+            .fixed("rate", 0.123_456, 4)
+            .field("ok", true)
+            .field("empty", Json::object())
+            .field("none", Vec::<Json>::new())
+            .field(
+                "rows",
+                vec![Json::object().fixed("p50", 11.0, 1), Json::Int(7)],
+            )
+            .maybe("note", None::<&str>);
+        assert_eq!(
+            tree.render(),
+            "{\n  \"bench\": \"x \\\"y\\\"\",\n  \"alerts\": 3,\n  \"rate\": 0.1235,\n  \
+             \"ok\": true,\n  \"empty\": {},\n  \"none\": [],\n  \"rows\": [\n    {\n      \
+             \"p50\": 11.0\n    },\n    7\n  ]\n}"
+        );
+        assert_eq!(tree.get("alerts"), Some(&Json::Int(3)));
+        assert_eq!(tree.get("rows.0.p50"), Some(&Json::Fixed(11.0, 1)));
+        assert_eq!(tree.get("rows.1"), Some(&Json::Int(7)));
+        assert_eq!(tree.get("rows.2"), None);
+        assert_eq!(tree.get("note"), None);
+        assert_eq!(Json::Int(3).get("alerts"), None);
     }
 
     #[test]

@@ -3,28 +3,20 @@
 //! Replays every scenario registered in `sag-scenarios` through the engine's
 //! sharded batch driver and reports, per scenario: throughput, warm-start
 //! hit rate, simplex work, and the utility profile of the three strategies.
-//! A sharding section times an identical multi-day batch at one shard
-//! vs. many, quantifying the multi-core scaling of `replay` (whose
-//! results are bitwise shard-count-independent, so the comparison is pure
-//! wall-clock), and a `service_concurrent` section times a multi-tenant
-//! `AuditService` fleet concurrently vs. serially under the same
+//! A `scaling` section (see [`crate::cluster`]) records per-shard-count
+//! curves for the sharded replay, the multi-tenant `AuditService` pool and
+//! the consistent-hash `sag-cluster` deployment shape, under one
 //! results-identical guarantee. A `durability` section prices the
 //! write-ahead log: logged decision throughput with the fsync barrier on
 //! and off, and the wall-clock cost of recovering a large mid-flight day
 //! from its WAL — with the recovered result checked bitwise against the
-//! uninterrupted run. A `cluster` section (see [`crate::cluster`]) records
-//! per-core-count scaling curves for the sharded replay and the
-//! consistent-hash `sag-cluster` deployment shape.
+//! uninterrupted run.
 
-use crate::cluster::{cluster_scaling_report, ClusterScalingReport};
+use crate::cluster::{scaling_report, untimed, ScalingReport};
+use crate::report::Json;
 use sag_core::engine::EngineBuilder;
-use sag_core::{CycleResult, Result};
-use sag_scenarios::{
-    find_scenario, registry, run_scenario, run_scenario_service, ReplayOptions, Scenario,
-    ScenarioRun,
-};
-use sag_service::{AuditService, DurabilityOptions, Request, Response, TenantId};
-use std::fmt::Write as _;
+use sag_scenarios::{find_scenario, registry, run_scenario, ReplayOptions, Scenario, ScenarioRun};
+use sag_service::{AuditService, DurabilityOptions, Request, Response, ServiceError, TenantId};
 use std::path::PathBuf;
 use std::time::Instant;
 
@@ -91,63 +83,6 @@ impl ScenarioReport {
     }
 }
 
-/// Wall-clock comparison of the same batch at one shard vs. many.
-#[derive(Debug, Clone)]
-pub struct ShardingReport {
-    /// Scenario replayed for the comparison.
-    pub scenario: String,
-    /// Number of day jobs in the batch.
-    pub jobs: usize,
-    /// Shard count of the sharded leg.
-    pub shards: usize,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub threads_available: usize,
-    /// Whether this binary was built with the `parallel` feature — without
-    /// it `replay` is sequential and the "speedup" is pure noise.
-    pub parallel_feature: bool,
-    /// Wall-clock seconds of the single-shard leg.
-    pub seq_wall_seconds: f64,
-    /// Wall-clock seconds of the sharded leg.
-    pub sharded_wall_seconds: f64,
-    /// `seq / sharded` — above 1 means sharding won wall-clock time.
-    pub speedup: f64,
-    /// Honest caveat when the measurement cannot show a real speedup (no
-    /// `parallel` feature, or too few cores); `None` when the number is a
-    /// genuine multi-core comparison.
-    pub note: Option<String>,
-}
-
-/// Wall-clock profile of the multi-tenant `AuditService` front door: the
-/// same tenant fleet replayed concurrently (over the service's worker pool)
-/// and serially (inline, zero workers).
-#[derive(Debug, Clone)]
-pub struct ServiceConcurrentReport {
-    /// Scenario every tenant runs.
-    pub scenario: String,
-    /// Number of tenants multiplexed through one service.
-    pub tenants: usize,
-    /// Worker threads of the concurrent leg's service pool.
-    pub workers: usize,
-    /// Replayed days per tenant.
-    pub days_per_tenant: usize,
-    /// Total alerts served across all tenants.
-    pub alerts: usize,
-    /// Wall-clock seconds of the concurrent leg.
-    pub wall_seconds: f64,
-    /// Concurrent service throughput in alerts per second — the headline
-    /// number `check_perf.py` floors.
-    pub alerts_per_sec: f64,
-    /// Wall-clock seconds of the serial (inline) leg.
-    pub serial_wall_seconds: f64,
-    /// `serial / concurrent` — above 1 means the pool won wall-clock time.
-    /// Results are bitwise identical between the legs by construction.
-    pub speedup_vs_serial: f64,
-    /// `std::thread::available_parallelism()` on the measuring host.
-    pub threads_available: usize,
-    /// Honest caveat when the host cannot show a real speedup.
-    pub note: Option<String>,
-}
-
 /// Cost and fidelity of the durable `AuditService`: WAL write throughput
 /// with the fsync barrier on/off, and recovery of a large mid-flight day.
 #[derive(Debug, Clone)]
@@ -182,14 +117,10 @@ pub struct ScenarioSuiteReport {
     pub seed: u64,
     /// Per-scenario metrics, in registry order.
     pub scenarios: Vec<ScenarioReport>,
-    /// The sharded-vs-sequential wall-clock comparison.
-    pub sharding: ShardingReport,
-    /// The multi-tenant service-throughput comparison.
-    pub service_concurrent: ServiceConcurrentReport,
+    /// The multi-core scaling curves.
+    pub scaling: ScalingReport,
     /// The WAL cost/recovery profile.
     pub durability: DurabilityReport,
-    /// The multi-core cluster scaling curves.
-    pub cluster: ClusterScalingReport,
 }
 
 /// Configuration of a suite run.
@@ -201,17 +132,13 @@ pub struct SuiteConfig {
     pub shards: usize,
     /// Override of each scenario's history-day count (`None` = its default).
     pub history_days: Option<u32>,
-    /// Override of each scenario's test-day count (`None` = its default).
+    /// Override of each replay's test-day count (`None` = the scenario's
+    /// default, and the scaling curves' own day counts).
     pub test_days: Option<u32>,
-    /// Day jobs in the sharding comparison batch.
-    pub sharding_jobs: u32,
-    /// Tenants multiplexed in the `service_concurrent` comparison.
-    pub service_tenants: usize,
+    /// Tenants in the scaling section's service and cluster fleets.
+    pub tenants: usize,
     /// Alerts in the durability section's logged-and-recovered day.
     pub durability_alerts: usize,
-    /// Tenants consistent-hashed across the shards in the `cluster`
-    /// scaling curves.
-    pub cluster_tenants: usize,
 }
 
 impl SuiteConfig {
@@ -223,22 +150,20 @@ impl SuiteConfig {
             shards,
             history_days: None,
             test_days: None,
-            sharding_jobs: 12,
-            service_tenants: 8,
+            tenants: 8,
             durability_alerts: 10_000,
-            cluster_tenants: 8,
         }
     }
 }
 
-/// Replay the whole registry, then time the sharding comparison on an
-/// enlarged `paper-baseline` batch.
+/// Replay the whole registry, then measure the scaling curves and the
+/// durability profile on `paper-baseline`.
 ///
 /// # Errors
 ///
-/// Propagates engine and solver errors (which indicate workspace bugs for
-/// registered scenarios).
-pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
+/// Propagates engine, solver and service errors (which indicate workspace
+/// bugs for registered scenarios).
+pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport, ServiceError> {
     let options = |scenario: &dyn Scenario| {
         let mut options = ReplayOptions::new(scenario, config.seed);
         options.history_days = config.history_days.unwrap_or(options.history_days);
@@ -256,143 +181,18 @@ pub fn scenario_suite(config: &SuiteConfig) -> Result<ScenarioSuiteReport> {
     }
 
     let baseline = find_scenario("paper-baseline").expect("baseline is registered");
-    let sharding_options = ReplayOptions {
-        test_days: config.sharding_jobs,
-        ..options(baseline.as_ref())
-    };
-    let sharded_shards = config
-        .shards
-        .max(4)
-        .min(config.sharding_jobs.max(1) as usize);
-    // Replay results are bitwise shard-count-independent, so each leg is
-    // pure wall-clock; take the best of three runs to keep a single
-    // scheduler hiccup from skewing the speedup (CI gates on it).
-    let mut seq_wall = f64::INFINITY;
-    let mut sharded_wall = f64::INFINITY;
-    for _ in 0..3 {
-        let seq = run_scenario(baseline.as_ref(), &sharding_options, 1)?;
-        seq_wall = seq_wall.min(seq.wall_seconds);
-        let sharded = run_scenario(baseline.as_ref(), &sharding_options, sharded_shards)?;
-        sharded_wall = sharded_wall.min(sharded.wall_seconds);
-    }
-    let threads_available = std::thread::available_parallelism().map_or(1, usize::from);
-    let parallel_feature = cfg!(feature = "parallel");
-    let note = if !parallel_feature {
-        Some(
-            "built without the `parallel` feature: replay runs sequentially, \
-             expect speedup ~1.0"
-                .to_string(),
-        )
-    } else if threads_available == 1 {
-        Some(
-            "only 1 core available: sharding cannot beat the sequential replay \
-             on this host, expect speedup ~1.0"
-                .to_string(),
-        )
-    } else if threads_available < 4 {
-        // 2-3 cores can show a real (if modest) speedup; the CI gate still
-        // only enforces its floor on >= 4 cores.
-        Some(format!(
-            "only {threads_available} core(s) available: expect a modest speedup at \
-             best; the CI floor applies from 4 cores up"
-        ))
-    } else {
-        None
-    };
-
-    // ---- Multi-tenant service throughput ----------------------------------
-    // The same baseline fleet through the `AuditService` front door: N
-    // tenants, each on its own seeded stream, replayed concurrently over
-    // the service's worker pool vs. serially inline. Results are bitwise
-    // identical between the legs (each tenant-day is a pure function of its
-    // job), so this is a pure wall-clock comparison like the sharding one;
-    // best-of-3 per leg for the same noise reasons.
-    let tenants = config.service_tenants.max(1);
-    let service_options = ReplayOptions {
-        test_days: config.test_days.unwrap_or(4),
-        ..options(baseline.as_ref())
-    };
-    let workers = threads_available;
-    let mut concurrent_wall = f64::INFINITY;
-    let mut serial_wall = f64::INFINITY;
-    let mut alerts = 0usize;
-    let mut days_per_tenant = 0usize;
-    for _ in 0..3 {
-        let concurrent =
-            run_scenario_service(baseline.as_ref(), &service_options, tenants, workers)
-                .map_err(service_error_to_sag)?;
-        alerts = concurrent.alerts();
-        days_per_tenant = concurrent.cycles.first().map_or(0, Vec::len);
-        concurrent_wall = concurrent_wall.min(concurrent.wall_seconds);
-        let serial = run_scenario_service(baseline.as_ref(), &service_options, tenants, 0)
-            .map_err(service_error_to_sag)?;
-        serial_wall = serial_wall.min(serial.wall_seconds);
-    }
-    let service_note = if threads_available == 1 {
-        Some(
-            "only 1 core available: the pool cannot beat the inline replay on \
-             this host, expect speedup ~1.0"
-                .to_string(),
-        )
-    } else if threads_available < 4 {
-        Some(format!(
-            "only {threads_available} core(s) available: expect a modest speedup at best"
-        ))
-    } else {
-        None
-    };
-    let service_concurrent = ServiceConcurrentReport {
-        scenario: "paper-baseline".to_string(),
-        tenants,
-        workers,
-        days_per_tenant,
-        alerts,
-        wall_seconds: concurrent_wall,
-        alerts_per_sec: if concurrent_wall > 0.0 {
-            alerts as f64 / concurrent_wall
-        } else {
-            0.0
-        },
-        serial_wall_seconds: serial_wall,
-        speedup_vs_serial: if concurrent_wall > 0.0 {
-            serial_wall / concurrent_wall
-        } else {
-            0.0
-        },
-        threads_available,
-        note: service_note,
-    };
-
-    let durability = durability_report(baseline.as_ref(), config);
-    let cluster = cluster_scaling_report(
+    let scaling = scaling_report(
         baseline.as_ref(),
-        config.seed,
-        config.cluster_tenants,
-        service_options.history_days,
-        config.test_days.unwrap_or(2),
-    );
-
+        &options(baseline.as_ref()),
+        config.tenants,
+        config.test_days,
+    )?;
+    let durability = durability_report(baseline.as_ref(), config);
     Ok(ScenarioSuiteReport {
         seed: config.seed,
         scenarios,
+        scaling,
         durability,
-        cluster,
-        sharding: ShardingReport {
-            scenario: "paper-baseline".to_string(),
-            jobs: config.sharding_jobs as usize,
-            shards: sharded_shards,
-            threads_available,
-            parallel_feature,
-            seq_wall_seconds: seq_wall,
-            sharded_wall_seconds: sharded_wall,
-            speedup: if sharded_wall > 0.0 {
-                seq_wall / sharded_wall
-            } else {
-                0.0
-            },
-            note,
-        },
-        service_concurrent,
     })
 }
 
@@ -404,14 +204,6 @@ fn durability_wal_dir(leg: &str) -> PathBuf {
         .and_then(|exe| exe.parent().map(std::path::Path::to_path_buf))
         .unwrap_or_else(|| PathBuf::from("target"))
         .join(format!("sag-durability-bench-{leg}"))
-}
-
-/// Zero the wall-clock timing field so results can be compared exactly.
-fn untimed(mut cycle: CycleResult) -> CycleResult {
-    for o in &mut cycle.outcomes {
-        o.solve_micros = 0;
-    }
-    cycle
 }
 
 /// Measure the durability layer on `scenario`'s game: one oversized day of
@@ -562,211 +354,59 @@ fn durability_report(scenario: &dyn Scenario, config: &SuiteConfig) -> Durabilit
     }
 }
 
-/// The suite reports through `sag_core::Result`; service-level failures
-/// (which indicate workspace bugs here — every tenant uses a registered
-/// scenario's validated config) surface as their engine cause or, for
-/// purely service-side causes, as a poisoned config error.
-fn service_error_to_sag(e: sag_service::ServiceError) -> sag_core::SagError {
-    match e {
-        sag_service::ServiceError::Engine(e) => e,
-        other => {
-            unreachable!("service replay failed without an engine cause: {other}")
-        }
+impl ScenarioReport {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("name", self.name.as_str())
+            .field("description", self.description.as_str())
+            .field("shards", self.shards)
+            .field("alerts", self.alerts)
+            .fixed("wall_seconds", self.wall_seconds, 6)
+            .fixed("alerts_per_sec", self.alerts_per_sec, 2)
+            .fixed("warm_start_hit_rate", self.warm_hit_rate, 4)
+            .fixed("pivots_per_lp", self.pivots_per_lp, 3)
+            .fixed("pruned_lp_fraction", self.pruned_lp_fraction, 4)
+            .fixed("lp_solves_per_solve", self.lp_solves_per_solve, 3)
+            .fixed("mean_ossp", self.mean_ossp, 3)
+            .fixed("mean_online", self.mean_online, 3)
+            .fixed("mean_offline", self.mean_offline, 3)
+            .fixed("fraction_ossp_not_worse", self.fraction_ossp_not_worse, 4)
+            .fixed("fraction_deterred", self.fraction_deterred, 4)
     }
 }
 
-/// Escape a string for embedding in a JSON string literal.
-pub(crate) fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
+impl DurabilityReport {
+    fn to_json(&self) -> Json {
+        Json::object()
+            .field("scenario", self.scenario.as_str())
+            .field("alerts", self.alerts)
+            .fixed("fsync_on_alerts_per_sec", self.fsync_on_alerts_per_sec, 2)
+            .fixed("fsync_off_alerts_per_sec", self.fsync_off_alerts_per_sec, 2)
+            .field("wal_bytes", self.wal_bytes)
+            .fixed("recovery_wall_seconds", self.recovery_wall_seconds, 6)
+            .fixed("recovery_alerts_per_sec", self.recovery_alerts_per_sec, 2)
+            .field("recovered_bitwise_equal", self.recovered_bitwise_equal)
     }
-    out
 }
 
-/// Render the suite report as the machine-readable `BENCH_2.json` document.
-#[must_use]
-pub fn render_suite_json(report: &ScenarioSuiteReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"scenario_registry_replay\",");
-    let _ = writeln!(out, "  \"seed\": {},", report.seed);
-    let _ = writeln!(out, "  \"scenarios\": [");
-    let last = report.scenarios.len().saturating_sub(1);
-    for (i, s) in report.scenarios.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", json_escape(&s.name));
-        let _ = writeln!(
-            out,
-            "      \"description\": \"{}\",",
-            json_escape(&s.description)
-        );
-        let _ = writeln!(out, "      \"shards\": {},", s.shards);
-        let _ = writeln!(out, "      \"alerts\": {},", s.alerts);
-        let _ = writeln!(out, "      \"wall_seconds\": {:.6},", s.wall_seconds);
-        let _ = writeln!(out, "      \"alerts_per_sec\": {:.2},", s.alerts_per_sec);
-        let _ = writeln!(
-            out,
-            "      \"warm_start_hit_rate\": {:.4},",
-            s.warm_hit_rate
-        );
-        let _ = writeln!(out, "      \"pivots_per_lp\": {:.3},", s.pivots_per_lp);
-        let _ = writeln!(
-            out,
-            "      \"pruned_lp_fraction\": {:.4},",
-            s.pruned_lp_fraction
-        );
-        let _ = writeln!(
-            out,
-            "      \"lp_solves_per_solve\": {:.3},",
-            s.lp_solves_per_solve
-        );
-        let _ = writeln!(out, "      \"mean_ossp\": {:.3},", s.mean_ossp);
-        let _ = writeln!(out, "      \"mean_online\": {:.3},", s.mean_online);
-        let _ = writeln!(out, "      \"mean_offline\": {:.3},", s.mean_offline);
-        let _ = writeln!(
-            out,
-            "      \"fraction_ossp_not_worse\": {:.4},",
-            s.fraction_ossp_not_worse
-        );
-        let _ = writeln!(
-            out,
-            "      \"fraction_deterred\": {:.4}",
-            s.fraction_deterred
-        );
-        let _ = writeln!(out, "    }}{}", if i == last { "" } else { "," });
+impl ScenarioSuiteReport {
+    /// The machine-readable `BENCH_2.json` document.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let scenarios = self.scenarios.iter().map(ScenarioReport::to_json);
+        Json::object()
+            .field("bench", "scenario_registry_replay")
+            .field("seed", self.seed)
+            .field("scenarios", scenarios.collect::<Vec<_>>())
+            .field("scaling", self.scaling.to_json())
+            .field("durability", self.durability.to_json())
     }
-    let _ = writeln!(out, "  ],");
-    let sh = &report.sharding;
-    let _ = writeln!(out, "  \"sharding\": {{");
-    let _ = writeln!(out, "    \"scenario\": \"{}\",", json_escape(&sh.scenario));
-    let _ = writeln!(out, "    \"jobs\": {},", sh.jobs);
-    let _ = writeln!(out, "    \"shards\": {},", sh.shards);
-    let _ = writeln!(out, "    \"threads_available\": {},", sh.threads_available);
-    let _ = writeln!(out, "    \"parallel_feature\": {},", sh.parallel_feature);
-    let _ = writeln!(out, "    \"seq_wall_seconds\": {:.6},", sh.seq_wall_seconds);
-    let _ = writeln!(
-        out,
-        "    \"sharded_wall_seconds\": {:.6},",
-        sh.sharded_wall_seconds
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.2}", sh.speedup);
-    if let Some(note) = &sh.note {
-        // Re-open the object's last line to append the optional note while
-        // keeping the hand-rendered JSON free of trailing commas.
-        out.truncate(out.len() - 1);
-        let _ = writeln!(out, ",\n    \"note\": \"{}\"", json_escape(note));
-    }
-    let _ = writeln!(out, "  }},");
-    let sc = &report.service_concurrent;
-    let _ = writeln!(out, "  \"service_concurrent\": {{");
-    let _ = writeln!(out, "    \"scenario\": \"{}\",", json_escape(&sc.scenario));
-    let _ = writeln!(out, "    \"tenants\": {},", sc.tenants);
-    let _ = writeln!(out, "    \"workers\": {},", sc.workers);
-    let _ = writeln!(out, "    \"days_per_tenant\": {},", sc.days_per_tenant);
-    let _ = writeln!(out, "    \"alerts\": {},", sc.alerts);
-    let _ = writeln!(out, "    \"wall_seconds\": {:.6},", sc.wall_seconds);
-    let _ = writeln!(out, "    \"alerts_per_sec\": {:.2},", sc.alerts_per_sec);
-    let _ = writeln!(
-        out,
-        "    \"serial_wall_seconds\": {:.6},",
-        sc.serial_wall_seconds
-    );
-    let _ = writeln!(out, "    \"threads_available\": {},", sc.threads_available);
-    let _ = writeln!(
-        out,
-        "    \"speedup_vs_serial\": {:.2}",
-        sc.speedup_vs_serial
-    );
-    if let Some(note) = &sc.note {
-        out.truncate(out.len() - 1);
-        let _ = writeln!(out, ",\n    \"note\": \"{}\"", json_escape(note));
-    }
-    let _ = writeln!(out, "  }},");
-    let d = &report.durability;
-    let _ = writeln!(out, "  \"durability\": {{");
-    let _ = writeln!(out, "    \"scenario\": \"{}\",", json_escape(&d.scenario));
-    let _ = writeln!(out, "    \"alerts\": {},", d.alerts);
-    let _ = writeln!(
-        out,
-        "    \"fsync_on_alerts_per_sec\": {:.2},",
-        d.fsync_on_alerts_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "    \"fsync_off_alerts_per_sec\": {:.2},",
-        d.fsync_off_alerts_per_sec
-    );
-    let _ = writeln!(out, "    \"wal_bytes\": {},", d.wal_bytes);
-    let _ = writeln!(
-        out,
-        "    \"recovery_wall_seconds\": {:.6},",
-        d.recovery_wall_seconds
-    );
-    let _ = writeln!(
-        out,
-        "    \"recovery_alerts_per_sec\": {:.2},",
-        d.recovery_alerts_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "    \"recovered_bitwise_equal\": {}",
-        d.recovered_bitwise_equal
-    );
-    let _ = writeln!(out, "  }},");
-    let cl = &report.cluster;
-    let _ = writeln!(out, "  \"cluster\": {{");
-    let _ = writeln!(out, "    \"scenario\": \"{}\",", json_escape(&cl.scenario));
-    let _ = writeln!(out, "    \"tenants\": {},", cl.tenants);
-    let _ = writeln!(out, "    \"days_per_tenant\": {},", cl.days_per_tenant);
-    let _ = writeln!(out, "    \"alerts\": {},", cl.alerts);
-    let _ = writeln!(out, "    \"threads_available\": {},", cl.threads_available);
-    let _ = writeln!(out, "    \"parallel_feature\": {},", cl.parallel_feature);
-    let _ = writeln!(out, "    \"points\": [");
-    let last_point = cl.points.len().saturating_sub(1);
-    for (i, p) in cl.points.iter().enumerate() {
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(out, "        \"workers\": {},", p.workers);
-        let _ = writeln!(
-            out,
-            "        \"replay_wall_seconds\": {:.6},",
-            p.replay_wall_seconds
-        );
-        let _ = writeln!(out, "        \"replay_speedup\": {:.2},", p.replay_speedup);
-        let _ = writeln!(
-            out,
-            "        \"cluster_wall_seconds\": {:.6},",
-            p.cluster_wall_seconds
-        );
-        let _ = writeln!(
-            out,
-            "        \"cluster_alerts_per_sec\": {:.2},",
-            p.cluster_alerts_per_sec
-        );
-        let _ = writeln!(out, "        \"cluster_speedup\": {:.2}", p.cluster_speedup);
-        let _ = writeln!(out, "      }}{}", if i == last_point { "" } else { "," });
-    }
-    let _ = writeln!(out, "    ],");
-    let _ = writeln!(out, "    \"results_identical\": {}", cl.results_identical);
-    if let Some(note) = &cl.note {
-        out.truncate(out.len() - 1);
-        let _ = writeln!(out, ",\n    \"note\": \"{}\"", json_escape(note));
-    }
-    let _ = writeln!(out, "  }}");
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::json_escape;
 
     #[test]
     fn json_escape_handles_metacharacters() {
@@ -785,10 +425,8 @@ mod tests {
             shards: 1,
             history_days: Some(5),
             test_days: Some(1),
-            sharding_jobs: 4,
-            service_tenants: 2,
+            tenants: 2,
             durability_alerts: 250,
-            cluster_tenants: 2,
         };
         let report = scenario_suite(&config).unwrap();
         assert!(report.scenarios.len() >= 7);
@@ -811,21 +449,31 @@ mod tests {
                 s.fraction_ossp_not_worse
             );
         }
-        assert_eq!(report.sharding.jobs, 4);
-        assert!(report.sharding.seq_wall_seconds > 0.0);
-        assert!(report.sharding.sharded_wall_seconds > 0.0);
-        assert_eq!(report.sharding.parallel_feature, cfg!(feature = "parallel"));
-        let sc = &report.service_concurrent;
+        let sc = &report.scaling;
         assert_eq!(sc.scenario, "paper-baseline");
-        assert_eq!(sc.tenants, 2);
-        assert_eq!(sc.days_per_tenant, 1);
+        assert_eq!(sc.parallel_feature, cfg!(feature = "parallel"));
+        // The test-day override sizes every curve.
+        assert_eq!(sc.replay.days_per_tenant, 1);
+        assert_eq!(sc.service.tenants, 2);
+        assert_eq!(sc.service.days_per_tenant, 1);
         assert!(
-            sc.alerts > 200,
+            sc.service.alerts > 200,
             "two baseline tenants: {} alerts",
-            sc.alerts
+            sc.service.alerts
         );
-        assert!(sc.alerts_per_sec > 0.0);
-        assert!(sc.wall_seconds > 0.0 && sc.serial_wall_seconds > 0.0);
+        assert_eq!(sc.cluster.tenants, 2);
+        // 2 tenants cap the curves at 2 shards.
+        let counts: Vec<usize> = sc.points.iter().map(|p| p.shards).collect();
+        assert_eq!(counts, vec![1, 2]);
+        assert!(
+            sc.results_identical,
+            "shard count changed scaling results bitwise"
+        );
+        for p in &sc.points {
+            for leg in [p.replay, p.service, p.cluster] {
+                assert!(leg.wall_seconds > 0.0 && leg.alerts_per_sec > 0.0);
+            }
+        }
         let d = &report.durability;
         assert_eq!(d.scenario, "paper-baseline");
         assert_eq!(d.alerts, 250);
@@ -837,20 +485,6 @@ mod tests {
             d.recovered_bitwise_equal,
             "recovered day diverged from the uninterrupted run"
         );
-        let cl = &report.cluster;
-        assert_eq!(cl.scenario, "paper-baseline");
-        assert_eq!(cl.tenants, 2);
-        // 2 tenants cap the curve at 2 shards.
-        let counts: Vec<usize> = cl.points.iter().map(|p| p.workers).collect();
-        assert_eq!(counts, vec![1, 2]);
-        assert!(
-            cl.results_identical,
-            "shard count changed cluster results bitwise"
-        );
-        for p in &cl.points {
-            assert!(p.replay_wall_seconds > 0.0 && p.cluster_wall_seconds > 0.0);
-            assert!(p.cluster_alerts_per_sec > 0.0);
-        }
         // Multi-type scenarios must actually exercise the pruning layer.
         let multi_site = report
             .scenarios
@@ -864,41 +498,58 @@ mod tests {
         );
         assert!(multi_site.lp_solves_per_solve < 14.0);
 
-        let json = render_suite_json(&report);
-        for needle in [
-            "\"bench\": \"scenario_registry_replay\"",
-            "\"name\": \"paper-baseline\"",
-            "\"name\": \"bursty-arrivals\"",
-            "\"name\": \"attacker-drift\"",
-            "\"name\": \"budget-shocks\"",
-            "\"name\": \"noisy-evidence\"",
-            "\"name\": \"multi-site\"",
-            "\"name\": \"metro-grid\"",
-            "\"pruned_lp_fraction\"",
-            "\"lp_solves_per_solve\"",
-            "\"sharding\"",
-            "\"parallel_feature\"",
-            "\"speedup\"",
-            "\"service_concurrent\"",
-            "\"tenants\"",
-            "\"speedup_vs_serial\"",
-            "\"durability\"",
-            "\"fsync_on_alerts_per_sec\"",
-            "\"fsync_off_alerts_per_sec\"",
-            "\"recovery_alerts_per_sec\"",
-            "\"recovered_bitwise_equal\": true",
-            "\"cluster\"",
-            "\"cluster_alerts_per_sec\"",
-            "\"cluster_speedup\"",
-            "\"replay_speedup\"",
-            "\"results_identical\": true",
+        // The document carries every section at its BENCH_2 path.
+        let json = report.to_json();
+        let names: Vec<&Json> = (0..report.scenarios.len())
+            .filter_map(|i| json.get(&format!("scenarios.{i}.name")))
+            .collect();
+        for name in [
+            "paper-baseline",
+            "bursty-arrivals",
+            "attacker-drift",
+            "budget-shocks",
+            "noisy-evidence",
+            "multi-site",
+            "metro-grid",
         ] {
-            assert!(json.contains(needle), "missing `{needle}`");
+            assert!(
+                names.contains(&&Json::from(name)),
+                "missing scenario {name}"
+            );
         }
-        if report.sharding.note.is_some() {
-            assert!(json.contains("\"note\""));
+        for (path, expected) in [
+            ("bench", Json::from("scenario_registry_replay")),
+            ("seed", Json::Int(3)),
+            (
+                "scaling.parallel_feature",
+                Json::Bool(cfg!(feature = "parallel")),
+            ),
+            ("scaling.results_identical", Json::Bool(true)),
+            ("scaling.service.tenants", Json::Int(2)),
+            ("scaling.points.1.shards", Json::Int(2)),
+            ("durability.recovered_bitwise_equal", Json::Bool(true)),
+        ] {
+            assert_eq!(json.get(path), Some(&expected), "{path}");
         }
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(!json.contains(",\n}"), "trailing comma before a close");
+        for path in [
+            "scenarios.0.pruned_lp_fraction",
+            "scenarios.0.lp_solves_per_solve",
+            "scaling.points.1.replay.speedup",
+            "scaling.points.1.service.speedup",
+            "scaling.points.1.cluster.alerts_per_sec",
+            "scaling.points.1.cluster.speedup",
+            "durability.fsync_on_alerts_per_sec",
+            "durability.fsync_off_alerts_per_sec",
+            "durability.recovery_alerts_per_sec",
+        ] {
+            assert!(
+                matches!(json.get(path), Some(Json::Fixed(..))),
+                "missing {path}"
+            );
+        }
+        assert_eq!(
+            json.get("scaling.note").is_some(),
+            report.scaling.note.is_some()
+        );
     }
 }

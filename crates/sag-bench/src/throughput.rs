@@ -25,16 +25,16 @@
 //! `paper-baseline`), so this bench and `repro_scenarios` can never drift
 //! apart on what they replay.
 //!
-//! The [`render_json`] output is written to `BENCH_1.json` by the
+//! [`ThroughputReport::to_json`] is written to `BENCH_1.json` by the
 //! `repro_throughput` binary.
 
+use crate::report::Json;
 use crate::setup;
 use sag_core::sse::{SseCache, SseCacheTotals, SseSolver};
 use sag_core::CycleResult;
 use sag_lp::{LpProblem, ReferenceWorkspace, SimplexWorkspace};
 use sag_scenarios::library::GlobalMesh;
 use sag_scenarios::{find_scenario, run_scenario, stream_scenario, ReplayOptions, Scenario};
-use std::fmt::Write as _;
 use std::time::Instant;
 
 /// Configuration of a throughput run.
@@ -239,7 +239,7 @@ pub fn throughput_experiment(config: &ThroughputConfig) -> ThroughputReport {
     let (scenario, options) = config.replay_options();
     // Always a single shard: BENCH_1 tracks the *solve chain* (per-alert
     // latency, pivots, warm hits) and must stay comparable across machines
-    // with different core counts; multi-core scaling is BENCH_2's sharding
+    // with different core counts; multi-core scaling is BENCH_2's scaling
     // section.
     let run = run_scenario(scenario.as_ref(), &options, 1).expect("scenario replay succeeds");
 
@@ -613,125 +613,95 @@ pub fn warm_vs_cold_5type(solves: usize) -> (f64, f64) {
     (warm_micros, cold_micros)
 }
 
-/// Render the report as the machine-readable `BENCH_1.json` document.
-#[must_use]
-pub fn render_json(report: &ThroughputReport) -> String {
-    let mut out = String::from("{\n");
-    let _ = writeln!(out, "  \"bench\": \"per_alert_solve_chain_throughput\",");
-    let _ = writeln!(out, "  \"alerts\": {},", report.alerts);
-    let _ = writeln!(out, "  \"wall_seconds\": {:.6},", report.wall_seconds);
-    let _ = writeln!(out, "  \"alerts_per_sec\": {:.2},", report.alerts_per_sec);
-    let _ = writeln!(out, "  \"latency_micros\": {{");
-    let _ = writeln!(out, "    \"p50\": {:.1},", report.p50_micros);
-    let _ = writeln!(out, "    \"p99\": {:.1},", report.p99_micros);
-    let _ = writeln!(out, "    \"mean\": {:.1}", report.mean_micros);
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"pivots_per_lp\": {:.3},", report.pivots_per_lp);
-    let _ = writeln!(
-        out,
-        "  \"warm_start_hit_rate\": {:.4},",
-        report.warm_hit_rate
-    );
-    let s = &report.streaming;
-    let _ = writeln!(out, "  \"streaming\": {{");
-    let _ = writeln!(out, "    \"alerts\": {},", s.alerts);
-    let _ = writeln!(out, "    \"wall_seconds\": {:.6},", s.wall_seconds);
-    let _ = writeln!(out, "    \"alerts_per_sec\": {:.2},", s.alerts_per_sec);
-    let _ = writeln!(out, "    \"latency_micros\": {{");
-    let _ = writeln!(out, "      \"p50\": {:.1},", s.p50_micros);
-    let _ = writeln!(out, "      \"p99\": {:.1},", s.p99_micros);
-    let _ = writeln!(out, "      \"mean\": {:.1}", s.mean_micros);
-    let _ = writeln!(out, "    }}");
-    let _ = writeln!(out, "  }},");
-    let _ = writeln!(out, "  \"warm_vs_cold_5type\": {{");
-    let _ = writeln!(
-        out,
-        "    \"warm_micros_per_solve\": {:.2},",
-        report.warm_micros_5type
-    );
-    let _ = writeln!(
-        out,
-        "    \"cold_micros_per_solve\": {:.2},",
-        report.cold_micros_5type
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.2}", report.warm_speedup_5type);
-    let _ = writeln!(out, "  }},");
-    let p = &report.pruning;
-    let _ = writeln!(out, "  \"pruning\": {{");
-    let _ = writeln!(
-        out,
-        "    \"pruned_alerts_per_sec\": {:.2},",
-        p.pruned_alerts_per_sec
-    );
-    let _ = writeln!(
-        out,
-        "    \"exhaustive_alerts_per_sec\": {:.2},",
-        p.exhaustive_alerts_per_sec
-    );
-    let _ = writeln!(out, "    \"speedup\": {:.2},", p.speedup);
-    let _ = writeln!(
-        out,
-        "    \"pruned_lp_fraction\": {:.4},",
-        p.pruned_lp_fraction
-    );
-    let _ = writeln!(
-        out,
-        "    \"lp_solves_per_solve_pruned\": {:.3},",
-        p.lp_solves_per_solve_pruned
-    );
-    let _ = writeln!(
-        out,
-        "    \"lp_solves_per_solve_exhaustive\": {:.3}",
-        p.lp_solves_per_solve_exhaustive
-    );
-    let _ = writeln!(out, "  }},");
-    let k = &report.lp_kernel;
-    let _ = writeln!(out, "  \"lp_kernel\": {{");
-    let _ = writeln!(out, "    \"sizes\": [");
-    for (i, size) in k.sizes.iter().enumerate() {
-        let _ = writeln!(out, "      {{");
-        let _ = writeln!(out, "        \"types\": {},", size.types);
-        let _ = writeln!(out, "        \"solves\": {},", size.solves);
-        let _ = writeln!(
-            out,
-            "        \"reference_micros\": {:.3},",
-            size.reference_micros
-        );
-        let _ = writeln!(out, "        \"kernel_micros\": {:.3},", size.kernel_micros);
-        let _ = writeln!(out, "        \"speedup\": {:.3},", size.speedup);
-        let _ = writeln!(out, "        \"pivots_per_lp\": {:.3},", size.pivots_per_lp);
-        let _ = writeln!(
-            out,
-            "        \"kernel_nanos_per_pivot\": {:.1}",
-            size.kernel_nanos_per_pivot
-        );
-        let close = if i + 1 == k.sizes.len() { "}" } else { "}," };
-        let _ = writeln!(out, "      {close}");
+/// A `latency_micros` block: per-alert percentiles and mean.
+fn latency_json(p50: f64, p99: f64, mean: f64) -> Json {
+    Json::object()
+        .fixed("p50", p50, 1)
+        .fixed("p99", p99, 1)
+        .fixed("mean", mean, 1)
+}
+
+impl ThroughputReport {
+    /// The machine-readable `BENCH_1.json` document.
+    #[must_use]
+    pub fn to_json(&self) -> Json {
+        let s = &self.streaming;
+        let p = &self.pruning;
+        let e = &self.lp_kernel.epsilon_mode;
+        let sizes = self.lp_kernel.sizes.iter().map(|size| {
+            Json::object()
+                .field("types", size.types)
+                .field("solves", size.solves)
+                .fixed("reference_micros", size.reference_micros, 3)
+                .fixed("kernel_micros", size.kernel_micros, 3)
+                .fixed("speedup", size.speedup, 3)
+                .fixed("pivots_per_lp", size.pivots_per_lp, 3)
+                .fixed("kernel_nanos_per_pivot", size.kernel_nanos_per_pivot, 1)
+        });
+        let epsilon_mode = Json::object()
+            .field("scenario", "global-mesh")
+            .field("types", e.types)
+            .fixed("epsilon", e.epsilon, 3)
+            .field("test_days", e.days)
+            .field("solves", e.solves)
+            .field("skipped_candidate_lps", e.skipped_lps)
+            .fixed("skip_fraction", e.skip_fraction, 4)
+            .fixed("worst_day_certified_loss", e.worst_day_certified_loss, 4)
+            .fixed("total_certified_loss", e.total_certified_loss, 4);
+        Json::object()
+            .field("bench", "per_alert_solve_chain_throughput")
+            .field("alerts", self.alerts)
+            .fixed("wall_seconds", self.wall_seconds, 6)
+            .fixed("alerts_per_sec", self.alerts_per_sec, 2)
+            .field(
+                "latency_micros",
+                latency_json(self.p50_micros, self.p99_micros, self.mean_micros),
+            )
+            .fixed("pivots_per_lp", self.pivots_per_lp, 3)
+            .fixed("warm_start_hit_rate", self.warm_hit_rate, 4)
+            .field(
+                "streaming",
+                Json::object()
+                    .field("alerts", s.alerts)
+                    .fixed("wall_seconds", s.wall_seconds, 6)
+                    .fixed("alerts_per_sec", s.alerts_per_sec, 2)
+                    .field(
+                        "latency_micros",
+                        latency_json(s.p50_micros, s.p99_micros, s.mean_micros),
+                    ),
+            )
+            .field(
+                "warm_vs_cold_5type",
+                Json::object()
+                    .fixed("warm_micros_per_solve", self.warm_micros_5type, 2)
+                    .fixed("cold_micros_per_solve", self.cold_micros_5type, 2)
+                    .fixed("speedup", self.warm_speedup_5type, 2),
+            )
+            .field(
+                "pruning",
+                Json::object()
+                    .fixed("pruned_alerts_per_sec", p.pruned_alerts_per_sec, 2)
+                    .fixed("exhaustive_alerts_per_sec", p.exhaustive_alerts_per_sec, 2)
+                    .fixed("speedup", p.speedup, 2)
+                    .fixed("pruned_lp_fraction", p.pruned_lp_fraction, 4)
+                    .fixed(
+                        "lp_solves_per_solve_pruned",
+                        p.lp_solves_per_solve_pruned,
+                        3,
+                    )
+                    .fixed(
+                        "lp_solves_per_solve_exhaustive",
+                        p.lp_solves_per_solve_exhaustive,
+                        3,
+                    ),
+            )
+            .field(
+                "lp_kernel",
+                Json::object()
+                    .field("sizes", sizes.collect::<Vec<_>>())
+                    .field("epsilon_mode", epsilon_mode),
+            )
     }
-    let _ = writeln!(out, "    ],");
-    let e = &k.epsilon_mode;
-    let _ = writeln!(out, "    \"epsilon_mode\": {{");
-    let _ = writeln!(out, "      \"scenario\": \"global-mesh\",");
-    let _ = writeln!(out, "      \"types\": {},", e.types);
-    let _ = writeln!(out, "      \"epsilon\": {:.3},", e.epsilon);
-    let _ = writeln!(out, "      \"test_days\": {},", e.days);
-    let _ = writeln!(out, "      \"solves\": {},", e.solves);
-    let _ = writeln!(out, "      \"skipped_candidate_lps\": {},", e.skipped_lps);
-    let _ = writeln!(out, "      \"skip_fraction\": {:.4},", e.skip_fraction);
-    let _ = writeln!(
-        out,
-        "      \"worst_day_certified_loss\": {:.4},",
-        e.worst_day_certified_loss
-    );
-    let _ = writeln!(
-        out,
-        "      \"total_certified_loss\": {:.4}",
-        e.total_certified_loss
-    );
-    let _ = writeln!(out, "    }}");
-    let _ = writeln!(out, "  }}");
-    out.push('}');
-    out
 }
 
 #[cfg(test)]
@@ -907,48 +877,55 @@ mod tests {
                 },
             },
         };
-        let json = render_json(&report);
-        for needle in [
-            "\"alerts\": 1000",
-            "\"alerts_per_sec\": 2000.00",
-            "\"p50\": 11.0",
-            "\"p99\": 42.0",
-            "\"pivots_per_lp\": 1.250",
-            "\"warm_start_hit_rate\": 0.9700",
-            "\"streaming\"",
-            "\"p50\": 15.5",
-            "\"p99\": 58.0",
-            "\"speedup\": 3.00",
-            "\"pruning\"",
-            "\"pruned_lp_fraction\": 0.8400",
-            "\"lp_solves_per_solve_pruned\": 1.100",
-            "\"lp_solves_per_solve_exhaustive\": 7.000",
-            "\"lp_kernel\"",
-            "\"types\": 28",
-            "\"types\": 128",
-            "\"reference_micros\": 400.000",
-            "\"kernel_micros\": 160.000",
-            "\"speedup\": 2.500",
-            "\"pivots_per_lp\": 110.000",
-            "\"kernel_nanos_per_pivot\": 1454.5",
-            "\"epsilon_mode\"",
-            "\"scenario\": \"global-mesh\"",
-            "\"epsilon\": 50.000",
-            "\"skipped_candidate_lps\": 900",
-            "\"skip_fraction\": 0.1234",
-            "\"worst_day_certified_loss\": 31.5000",
-            "\"total_certified_loss\": 44.2500",
+        // Every metric reads back from the tree at its BENCH_1 path with
+        // its printed precision.
+        let json = report.to_json();
+        for (path, expected) in [
+            ("alerts", Json::Int(1000)),
+            ("alerts_per_sec", Json::Fixed(2000.0, 2)),
+            ("latency_micros.p50", Json::Fixed(11.0, 1)),
+            ("latency_micros.p99", Json::Fixed(42.0, 1)),
+            ("pivots_per_lp", Json::Fixed(1.25, 3)),
+            ("warm_start_hit_rate", Json::Fixed(0.97, 4)),
+            ("streaming.latency_micros.p50", Json::Fixed(15.5, 1)),
+            ("streaming.latency_micros.p99", Json::Fixed(58.0, 1)),
+            ("warm_vs_cold_5type.speedup", Json::Fixed(3.0, 2)),
+            ("pruning.pruned_lp_fraction", Json::Fixed(0.84, 4)),
+            ("pruning.lp_solves_per_solve_pruned", Json::Fixed(1.1, 3)),
+            (
+                "pruning.lp_solves_per_solve_exhaustive",
+                Json::Fixed(7.0, 3),
+            ),
+            ("lp_kernel.sizes.0.types", Json::Int(28)),
+            ("lp_kernel.sizes.2.types", Json::Int(128)),
+            ("lp_kernel.sizes.2.reference_micros", Json::Fixed(400.0, 3)),
+            ("lp_kernel.sizes.2.kernel_micros", Json::Fixed(160.0, 3)),
+            ("lp_kernel.sizes.2.speedup", Json::Fixed(2.5, 3)),
+            ("lp_kernel.sizes.2.pivots_per_lp", Json::Fixed(110.0, 3)),
+            (
+                "lp_kernel.sizes.2.kernel_nanos_per_pivot",
+                Json::Fixed(1454.5, 1),
+            ),
+            ("lp_kernel.epsilon_mode.scenario", Json::from("global-mesh")),
+            ("lp_kernel.epsilon_mode.epsilon", Json::Fixed(50.0, 3)),
+            (
+                "lp_kernel.epsilon_mode.skipped_candidate_lps",
+                Json::Int(900),
+            ),
+            (
+                "lp_kernel.epsilon_mode.skip_fraction",
+                Json::Fixed(0.1234, 4),
+            ),
+            (
+                "lp_kernel.epsilon_mode.worst_day_certified_loss",
+                Json::Fixed(31.5, 4),
+            ),
+            (
+                "lp_kernel.epsilon_mode.total_certified_loss",
+                Json::Fixed(44.25, 4),
+            ),
         ] {
-            assert!(json.contains(needle), "missing `{needle}` in:\n{json}");
+            assert_eq!(json.get(path), Some(&expected), "{path}");
         }
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        // The document must parse as JSON for scripts/check_perf.py; a
-        // cheap structural proxy: balanced braces and no trailing commas.
-        assert_eq!(
-            json.matches('{').count(),
-            json.matches('}').count(),
-            "unbalanced braces"
-        );
-        assert!(!json.contains(",\n}"), "trailing comma before a close");
     }
 }

@@ -16,9 +16,9 @@
 //!   scenario instantiated as N tenants of one
 //!   [`sag_service::AuditService`] (each tenant its own engine and alert
 //!   stream), replayed concurrently over the service's worker pool. This is
-//!   the `service_concurrent` section of `BENCH_2.json`, and — because
-//!   every tenant's cycles are pure functions of its own stream — its
-//!   results are bitwise identical to replaying each tenant serially.
+//!   the service curve of the `scaling` section of `BENCH_2.json`, and —
+//!   because every tenant's cycles are pure functions of its own stream —
+//!   its results are bitwise identical to replaying each tenant serially.
 
 use crate::scenario::Scenario;
 use sag_cluster::ClusterBuilder;

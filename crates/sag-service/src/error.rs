@@ -36,6 +36,15 @@ pub enum ServiceError {
         /// The configured per-tenant bound the request would have exceeded.
         limit: usize,
     },
+    /// The alert names a type the tenant's game does not have. Rejected
+    /// before it is logged or applied, so a malformed alert can neither
+    /// panic the session nor poison the WAL.
+    InvalidAlert {
+        /// The alert's zero-based type id.
+        type_id: u16,
+        /// The number of alert types in the tenant's game.
+        types: usize,
+    },
     /// The engine rejected the operation; the payload says exactly why.
     Engine(SagError),
     /// The durability layer failed: the mutation was **not** logged and
@@ -61,6 +70,10 @@ impl fmt::Display for ServiceError {
             } => write!(
                 f,
                 "tenant {tenant} overloaded: {pending} requests pending (limit {limit}); retry later"
+            ),
+            ServiceError::InvalidAlert { type_id, types } => write!(
+                f,
+                "alert type id {type_id} is out of range for a {types}-type game"
             ),
             ServiceError::Engine(e) => write!(f, "engine error: {e}"),
             #[cfg(feature = "wal")]

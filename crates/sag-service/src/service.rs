@@ -358,6 +358,8 @@ impl AuditService {
     ///
     /// [`ServiceError::UnknownTenant`] / [`ServiceError::UnknownSession`]
     /// for requests naming something the service does not hold,
+    /// [`ServiceError::InvalidAlert`] for an alert whose type the tenant's
+    /// game does not have (rejected before it is logged),
     /// [`ServiceError::Engine`] for engine-level failures, and (on a
     /// durable service) [`ServiceError::Wal`] when the mutation could not
     /// be logged — in which case it was **not** applied: log-before-
@@ -508,6 +510,9 @@ impl AuditService {
                     .open
                     .get_mut(&session)
                     .ok_or(ServiceError::UnknownSession(session))?;
+                // Validate before logging: a logged alert the session cannot
+                // apply would fail again on every recovery.
+                handle.check_alert(&alert)?;
                 #[cfg(feature = "wal")]
                 if let Some(durability) = self.durability.as_mut() {
                     durability.append(

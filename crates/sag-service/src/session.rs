@@ -151,6 +151,24 @@ impl SessionHandle {
         self.session.push_alert(alert).map_err(ServiceError::from)
     }
 
+    /// Check that `alert` names a type of this session's game.
+    ///
+    /// # Errors
+    ///
+    /// [`ServiceError::InvalidAlert`] for a type id past the game's type
+    /// count.
+    pub(crate) fn check_alert(&self, alert: &Alert) -> Result<(), ServiceError> {
+        let types = self.session.engine().config().game.payoffs.len();
+        if alert.type_id.index() < types {
+            Ok(())
+        } else {
+            Err(ServiceError::InvalidAlert {
+                type_id: alert.type_id.0,
+                types,
+            })
+        }
+    }
+
     /// Close the cycle and return its [`CycleResult`].
     #[must_use]
     pub fn finish(self) -> CycleResult {

@@ -445,6 +445,64 @@ fn wal_failure_rejects_the_request_without_applying_it() {
     );
 }
 
+/// An alert naming a type the game does not have is rejected before it is
+/// logged: the WAL does not grow, the session keeps serving, and recovery
+/// rebuilds it bitwise instead of replaying a record that cannot apply.
+#[test]
+fn out_of_range_alert_type_is_rejected_before_logging() {
+    let (history, test_day) = generate(SEED + 7, 6);
+    let store = MemFs::new();
+    let icu = TenantId::from("icu");
+    let mut service = builder_for(history.clone())
+        .durable_on(Box::new(store.clone()), DurabilityOptions::default())
+        .build()
+        .expect("durable build");
+    let session = open_session(&mut service, &icu, test_day.day());
+    let push =
+        |service: &mut AuditService, alert| service.handle(Request::PushAlert { session, alert });
+    push(&mut service, test_day.alerts()[0]).expect("valid push");
+
+    let wal_before = store.read("icu.wal").expect("read").expect("exists");
+    let mut poison = test_day.alerts()[1];
+    poison.type_id = sag_sim::AlertTypeId(999);
+    let err = push(&mut service, poison).expect_err("poison alert rejected");
+    assert_eq!(
+        err,
+        ServiceError::InvalidAlert {
+            type_id: 999,
+            types: 7
+        }
+    );
+    assert_eq!(
+        store.read("icu.wal").expect("read").expect("exists"),
+        wal_before,
+        "the rejected alert reached the WAL"
+    );
+
+    // The session still serves the rest of the day.
+    for alert in &test_day.alerts()[1..] {
+        push(&mut service, *alert).expect("push after the rejection");
+    }
+    let live = service.session(session).expect("open");
+    assert_eq!(live.alerts_processed(), test_day.len());
+    let live_outcomes = untimed_outcomes(live.outcomes());
+    let live_budgets = (live.remaining_budget_ossp(), live.remaining_budget_online());
+    drop(service);
+
+    let recovered = builder_for(history)
+        .recover_on(Box::new(store), DurabilityOptions::default())
+        .expect("recovers");
+    let handle = recovered.session(session).expect("recovered");
+    assert_eq!(untimed_outcomes(handle.outcomes()), live_outcomes);
+    assert_eq!(
+        (
+            handle.remaining_budget_ossp(),
+            handle.remaining_budget_online()
+        ),
+        live_budgets
+    );
+}
+
 #[test]
 fn recovery_errors_are_structured_per_failure() {
     let (history, test_day) = generate(SEED + 6, 6);

@@ -3,45 +3,359 @@
 
 Compares a freshly measured BENCH_1.json (per-alert solve-chain throughput)
 against the committed baseline and sanity-checks BENCH_2.json (the scenario
-registry replay, the service front door, durability, and the network load
-run). Floors are deliberately generous — CI runners are noisy — so only
+registry replay, the scaling curves, durability, and the network load
+runs). Floors are deliberately generous — CI runners are noisy — so only
 real regressions (a lost warm-start path, an accidentally quadratic replay)
 trip them.
 
-The checks are grouped into named sections selectable with `--sections`
-(comma-separated), so each CI job gates exactly the reports it produced:
-the perf-smoke job runs everything, the network-smoke job runs only
-`service_network`. Every section is isolated: a malformed or truncated
-report fails its own section's checks and the run still prints every other
-section's verdicts, so one broken file can never mask the rest of the
-report. Exit status is non-zero on any violation; every check prints
-PASS/FAIL so the workflow log reads as a report.
+Every check is one row of RULES, judged by one evaluator. Rows are grouped
+into named sections selectable with `--sections`, so each CI job gates
+exactly the reports it produced. Every row is isolated: a malformed or
+truncated report fails the rows it breaks and every other row still prints
+its verdict, so one broken file can never mask the rest of the report.
+Exit status is non-zero on any violation; every check prints PASS, FAIL or
+SKIP so the workflow log reads as a report.
 """
 
 import argparse
 import json
+import math
+import re
 import sys
 
-SECTIONS = (
-    "bench1",
-    "lp_kernel",
-    "scenarios",
-    "service_concurrent",
-    "durability",
-    "sharding",
-    "cluster",
-    "service_network",
-    "service_chaos",
-)
+# Each section gates one JSON object: (report, path of the object). A
+# section whose object is missing fails `<section>.present` and skips its
+# other rows.
+SECTIONS = {
+    "bench1": ("bench1", ""),
+    "lp_kernel": ("bench1", "lp_kernel"),
+    "scenarios": ("bench2", ""),
+    "durability": ("bench2", "durability"),
+    "scaling": ("bench2", "scaling"),
+    "service_network": ("bench2", "service_network"),
+    "service_chaos": ("bench2", "service_chaos"),
+}
+
+# Rule kinds. Paths are relative to the section's object: `a.b` follows
+# keys, `a.0` indexes a list, `a[k=v]` picks the list element whose `k` is
+# `v`, and `a[*].b` maps the rest of the path over a list.
+PRESENT = "present"  # the path exists
+TRUE = "hard-true"  # the value is exactly `true`: a correctness flag
+# A Python comparison over `$path` (fresh report) and `@path` (committed
+# baseline) values, `floor` (the --floor argument), `hit_floor` (the
+# BENCH_1 baseline warm-hit rate times floor, or 0.2 without one) and
+# len/sum/set/max. Absolute floors, ranges, baseline×floor floors and
+# baseline÷floor ceilings are all bounds. A bound naming `@` values is
+# skipped when no baseline was given, and fails when the baseline lacks
+# them (regenerate it to re-arm the gate). Operators need spaces around
+# them.
+BOUND = "bound"
+# `(cores, floor, needs_parallel)`: the value must exceed `floor` when the
+# measuring host has at least `cores` threads (and, for the replay curve,
+# the `parallel` build), and prints SKIP otherwise — an honest ~1.0x on a
+# small host is a pass.
+SPEEDUP = "core-gated speedup"
+
+FEDERATED = ("multi-site", "metro-grid")
+
+RULES = [
+    # -- bench1: solve-chain throughput, streaming latency, pruning.
+    ("throughput.alerts_per_sec", "bench1", BOUND,
+     "$alerts_per_sec >= @alerts_per_sec * floor"),
+    ("throughput.warm_start_hit_rate", "bench1", BOUND,
+     "$warm_start_hit_rate >= @warm_start_hit_rate * floor"),
+    ("throughput.warm_speedup_5type", "bench1", BOUND,
+     "$warm_vs_cold_5type.speedup >= 1.0"),
+    # A missing or zeroed streaming block means the session ingest path
+    # silently stopped being measured. Latency is lower-is-better, so the
+    # fresh p99 may be at most 1/floor (4x at the default) of the baseline.
+    ("streaming.present", "bench1", PRESENT, "streaming.latency_micros"),
+    ("streaming.latency_sane", "bench1", BOUND,
+     "0.0 < $streaming.latency_micros.p50 <= $streaming.latency_micros.p99"),
+    ("streaming.alerts_per_sec", "bench1", BOUND,
+     "$streaming.alerts_per_sec >= @streaming.alerts_per_sec * floor"),
+    ("streaming.p99_micros", "bench1", BOUND,
+     "$streaming.latency_micros.p99 <= @streaming.latency_micros.p99 / floor"),
+    # The pruning skip counters are deterministic, so they are gated
+    # tightly: the pruned arm must retire most candidate LPs and the
+    # exhaustive arm must still solve one per type (7 on this game). A
+    # pruning layer that slows the solver down is a regression even on a
+    # noisy runner.
+    ("pruning.present", "bench1", PRESENT, "pruning"),
+    ("pruning.pruned_lp_fraction", "bench1", BOUND,
+     "0.5 <= $pruning.pruned_lp_fraction <= 1.0"),
+    ("pruning.exhaustive_arm_is_exhaustive", "bench1", BOUND,
+     "$pruning.lp_solves_per_solve_exhaustive > 6.0"),
+    ("pruning.speedup", "bench1", BOUND, "$pruning.speedup >= 1.1"),
+
+    # -- lp_kernel: blocked simplex kernel vs the frozen scalar reference,
+    # and the certified ε-approximate mode. The committed baseline carries
+    # the headline claim (>= 1.5x at 128 types, same Bland pivot sequence,
+    # so the ratio is pure per-pivot throughput); the fresh run only needs
+    # a noise-scaled floor. The ε counters are deterministic and the
+    # certificate (<= ε per solve) is a hard engine guarantee.
+    ("lp_kernel.sizes", "lp_kernel", BOUND,
+     "{28, 64, 128} <= set($sizes[*].types)"),
+    ("lp_kernel.speedup_128_baseline", "lp_kernel", BOUND,
+     "@sizes[types=128].speedup >= 1.5"),
+    ("lp_kernel.speedup_128", "lp_kernel", BOUND,
+     "$sizes[types=128].speedup >= max(1.1, 1.5 * floor)"),
+    ("lp_kernel.pivots_128", "lp_kernel", BOUND,
+     "$sizes[types=128].pivots_per_lp >= 10.0"),
+    ("lp_kernel.epsilon_mode.present", "lp_kernel", PRESENT, "epsilon_mode"),
+    ("lp_kernel.epsilon_mode.skips", "lp_kernel", BOUND,
+     "$epsilon_mode.skipped_candidate_lps >= 1 and "
+     "0.0 < $epsilon_mode.skip_fraction <= 1.0"),
+    ("lp_kernel.epsilon_mode.certificate", "lp_kernel", BOUND,
+     "0.0 <= $epsilon_mode.worst_day_certified_loss and "
+     "$epsilon_mode.total_certified_loss <= "
+     "$epsilon_mode.epsilon * $epsilon_mode.solves + 1e-9"),
+
+    # -- scenarios: every registered scenario replays at real throughput.
+    # `{name}` rows repeat for every scenario in the fresh report. The
+    # throughput floor is absolute — scenarios are free to be heavier than
+    # the 7-type BENCH_1 game — and only catches catastrophes like an
+    # accidentally quadratic replay. The federated scenarios are what the
+    # incremental solve layer exists for: their skip rate is gated, and so
+    # is their throughput against the committed baseline.
+    ("scenarios.count", "scenarios", BOUND, "len($scenarios) >= 7"),
+    ("scenario.{name}.alerts", "scenarios", BOUND,
+     "$scenarios[name={name}].alerts > 100"),
+    ("scenario.{name}.alerts_per_sec", "scenarios", BOUND,
+     "$scenarios[name={name}].alerts_per_sec >= 500.0"),
+    ("scenario.{name}.warm_start_hit_rate", "scenarios", BOUND,
+     "$scenarios[name={name}].warm_start_hit_rate >= hit_floor"),
+    ("scenario.{name}.pruned_lp_fraction_sane", "scenarios", BOUND,
+     "0.0 <= $scenarios[name={name}].pruned_lp_fraction < 1.0"),
+    *[rule for name in FEDERATED for rule in (
+        (f"scenario.{name}.pruned_lp_fraction", "scenarios", BOUND,
+         f"$scenarios[name={name}].pruned_lp_fraction >= 0.5"),
+        (f"scenario.{name}.alerts_per_sec_vs_baseline", "scenarios", BOUND,
+         f"$scenarios[name={name}].alerts_per_sec >= "
+         f"@scenarios[name={name}].alerts_per_sec * floor"),
+    )],
+
+    # -- durability: a 10k-alert day through the WAL, recovered from the
+    # surviving bytes. A recovered day that diverges is a bug regardless of
+    # runner noise. fsync-on gets a much lower floor: a barrier per record
+    # is disk-bound, and CI disks vary wildly.
+    ("durability.alerts", "durability", BOUND, "$alerts >= 10000"),
+    ("durability.recovered_bitwise_equal", "durability", TRUE,
+     "recovered_bitwise_equal"),
+    ("durability.fsync_off_alerts_per_sec", "durability", BOUND,
+     "$fsync_off_alerts_per_sec >= 500.0"),
+    ("durability.fsync_on_alerts_per_sec", "durability", BOUND,
+     "$fsync_on_alerts_per_sec >= 25.0"),
+    ("durability.recovery_alerts_per_sec", "durability", BOUND,
+     "$recovery_alerts_per_sec >= 500.0"),
+    ("durability.recovery_vs_baseline", "durability", BOUND,
+     "$recovery_alerts_per_sec >= @recovery_alerts_per_sec * floor"),
+
+    # -- scaling: the replay, service and cluster curves over 1/2/4/8
+    # shards. The perf-smoke job always builds with `parallel`, so a
+    # missing feature is a CI misconfiguration. A shard count that changes
+    # any result bitwise breaks the routing invariant. The service curve's
+    # 1-point (inline, no pool) carries the front door's throughput
+    # floors. A broken parallel path on >= 4 cores measures ~1.0x; the
+    # floors sit well under what a quiet host shows because shared
+    # runners are noisy and each leg is only tens of milliseconds.
+    ("scaling.parallel_feature", "scaling", TRUE, "parallel_feature"),
+    ("scaling.results_identical", "scaling", TRUE, "results_identical"),
+    ("scaling.points", "scaling", BOUND,
+     "len($points) >= 1 and $points.0.shards == 1"),
+    ("scaling.service_alerts", "scaling", BOUND, "$service.alerts > 1000"),
+    ("scaling.service_alerts_per_sec", "scaling", BOUND,
+     "$points[shards=1].service.alerts_per_sec >= 500.0"),
+    ("scaling.service_alerts_per_sec_vs_baseline", "scaling", BOUND,
+     "$points[shards=1].service.alerts_per_sec >= "
+     "@points[shards=1].service.alerts_per_sec * floor"),
+    ("scaling.replay_speedup", "scaling", SPEEDUP,
+     "points[shards=4].replay.speedup", (4, 1.3, False)),
+    ("scaling.service_speedup", "scaling", SPEEDUP,
+     "points[shards=4].service.speedup", (4, 1.3, False)),
+    *[(f"scaling.cluster_speedup_{n}shards", "scaling", SPEEDUP,
+       f"points[shards={n}].cluster.speedup", (n, 1.2, False))
+      for n in (2, 4, 8)],
+    *[(f"scaling.replay_speedup_{n}shards", "scaling", SPEEDUP,
+       f"points[shards={n}].replay.speedup", (n, 1.2, True))
+      for n in (2, 4, 8)],
+
+    # -- service_network: the TCP front door under load (load_gen). The
+    # scraped counters either account for every request sent or the
+    # observability layer is lying. A sharded run's per-shard slices must
+    # add up to the aggregate burst; the shed probe's counters are
+    # deterministic.
+    ("service_network.metrics_consistent", "service_network", TRUE,
+     "metrics_consistent"),
+    ("service_network.alerts", "service_network", BOUND, "$alerts > 500"),
+    ("service_network.alerts_per_sec", "service_network", BOUND,
+     "$alerts_per_sec >= 300.0"),
+    ("service_network.latency_sane", "service_network", BOUND,
+     "0.0 < $latency_micros.p50 <= $latency_micros.p99"),
+    ("service_network.per_shard", "service_network", BOUND,
+     "$shards == 1 or (len($per_shard) == $shards and "
+     "sum($per_shard[*].alerts) == $alerts)"),
+    ("service_network.shed_probe.present", "service_network", PRESENT,
+     "shed_probe"),
+    ("service_network.shed_probe.sheds", "service_network", BOUND,
+     "$shed_probe.shed >= 1 and $shed_probe.served >= 1"),
+    ("service_network.shed_probe.retries", "service_network", BOUND,
+     "$shed_probe.retried_ok == $shed_probe.shed"),
+    ("service_network.alerts_per_sec_vs_baseline", "service_network", BOUND,
+     "$alerts_per_sec >= @alerts_per_sec * floor"),
+    ("service_network.p99_micros", "service_network", BOUND,
+     "$latency_micros.p99 <= @latency_micros.p99 / floor"),
+
+    # -- service_chaos: the front door under injected faults (load_gen
+    # --chaos). Exactly-once either holds under faults or the protocol is
+    # broken. Goodput gets a low floor: the run spends real wall-clock in
+    # backoff sleeps by design.
+    ("service_chaos.bitwise_equal", "service_chaos", TRUE, "bitwise_equal"),
+    ("service_chaos.recovery_converged", "service_chaos", TRUE,
+     "recovery_converged"),
+    ("service_chaos.faults_injected", "service_chaos", BOUND,
+     "$faults_injected >= 10"),
+    ("service_chaos.retries", "service_chaos", BOUND, "$retries >= 1"),
+    ("service_chaos.duplicates_suppressed", "service_chaos", BOUND,
+     "$duplicates_suppressed + $duplicates_replayed >= 1"),
+    ("service_chaos.goodput_alerts_per_sec", "service_chaos", BOUND,
+     "$goodput_alerts_per_sec >= 100.0"),
+    ("service_chaos.goodput_vs_baseline", "service_chaos", BOUND,
+     "$goodput_alerts_per_sec >= @goodput_alerts_per_sec * floor"),
+]
+
+REF = re.compile(r"([$@])([\w.\[\]=*-]+)")
 
 failures = []
 
 
-def check(label, ok, detail):
-    status = "PASS" if ok else "FAIL"
+class Missing(Exception):
+    """A path the rule reads is absent."""
+
+
+def report(status, label, detail):
     print(f"[{status}] {label}: {detail}")
-    if not ok:
+    if status == "FAIL":
         failures.append(label)
+
+
+def resolve(node, path):
+    """Follow `path` from `node` (see the path syntax above)."""
+    if not path:
+        return node
+    step, _, rest = path.partition(".")
+    key, _, select = step.partition("[")
+    try:
+        if key:
+            node = node[int(key)] if isinstance(node, list) else node[key]
+        if select == "*]":
+            return [resolve(item, rest) for item in node]
+        if select:
+            field, _, want = select[:-1].partition("=")
+            node = next(i for i in node if str(i.get(field)) == want)
+    except (KeyError, IndexError, TypeError, ValueError, StopIteration):
+        raise Missing(path) from None
+    return resolve(node, rest)
+
+
+def show(value):
+    if isinstance(value, float):
+        return f"{value:g}"
+    if isinstance(value, list) and any(isinstance(v, dict) for v in value):
+        return f"[{len(value)} rows]"
+    return str(value)
+
+
+def judge(kind, spec, arg, fresh, base, env):
+    """Evaluate one rule against the section objects; return
+    (status, detail)."""
+    if kind == PRESENT:
+        resolve(fresh, spec)
+        return "PASS", f"report carries {spec}"
+    if kind == TRUE:
+        value = resolve(fresh, spec)
+        return ("PASS" if value is True else "FAIL"), f"{spec} = {show(value)}"
+    if kind == SPEEDUP:
+        cores, bound, needs_parallel = arg
+        value = resolve(fresh, spec)
+        threads = resolve(fresh, "threads_available")
+        parallel = resolve(fresh, "parallel_feature")
+        if threads < cores or (needs_parallel and parallel is not True):
+            why = (f"only {threads} thread(s) available for {cores} shards"
+                   if threads < cores else "built without `parallel`")
+            note = fresh.get("note")
+            return "SKIP", (f"{why}, measured {value:.2f}x"
+                            + (f" — {note}" if note else ""))
+        return ("PASS" if value > bound else "FAIL"), (
+            f"{value:.2f}x over {cores} shards (floor {bound}, "
+            f"{threads} threads available)")
+    # BOUND: values are looked up lazily, so `a or b` may skip what `b`
+    # reads.
+    if "@" in spec and base is None:
+        return None, ""
+    seen = {}
+
+    def lookup(doc, path):
+        node = fresh if doc == "$" else base
+        try:
+            value = resolve(node, path)
+        except Missing:
+            where = "report" if doc == "$" else "committed baseline"
+            raise Missing(f"{path} missing from the {where}") from None
+        seen[doc + path] = value
+        return value
+
+    # The expression is one of RULES' own constants, never report input.
+    code = REF.sub(lambda m: f"_ref({m.group(1)!r}, {m.group(2)!r})", spec)
+    ok = eval(code, {"__builtins__": {}}, dict(env, _ref=lookup))
+    detail = REF.sub(lambda m: show(seen.get(m.group(0), m.group(0))), spec)
+    detail = re.sub(r"\b(hit_floor|floor)\b",
+                    lambda m: show(env[m.group(1)]), detail)
+    return ("PASS" if ok else "FAIL"), detail
+
+
+def run(selected, docs, bases, env):
+    """Evaluate every rule of the selected sections."""
+    for section in selected:
+        name, root = SECTIONS[section]
+        if docs[name] is None:
+            continue
+        try:
+            fresh = resolve(docs[name], root)
+        except Missing:
+            report("FAIL", f"{section}.present", f"report has no {root}")
+            continue
+        if root:
+            report("PASS", f"{section}.present", f"report carries {root}")
+        base = None
+        if bases[name] is not None:
+            try:
+                base = resolve(bases[name], root)
+            except Missing:
+                base = {}  # every `@` lookup fails: re-arm by regenerating
+        for label, rule_section, kind, spec, *arg in RULES:
+            if rule_section != section:
+                continue
+            names = [None]
+            if "{name}" in label:
+                try:
+                    names = [row["name"] for row in fresh["scenarios"]]
+                except (KeyError, TypeError) as e:
+                    report("FAIL", label, f"no scenario rows: {e!r}")
+                    continue
+            for row in names:
+                row_label, row_spec = label, spec
+                if row is not None:
+                    row_label = label.replace("{name}", row)
+                    row_spec = spec.replace("{name}", row)
+                try:
+                    status, detail = judge(kind, row_spec,
+                                           arg[0] if arg else None,
+                                           fresh, base, env)
+                except (Missing, TypeError, KeyError) as e:
+                    status, detail = "FAIL", f"malformed report: {e}"
+                if status:
+                    report(status, row_label, detail)
 
 
 def load_json(path, label):
@@ -52,677 +366,8 @@ def load_json(path, label):
         with open(path) as f:
             return json.load(f)
     except (OSError, json.JSONDecodeError) as e:
-        check(f"{label}.readable", False, f"{path}: {e}")
+        report("FAIL", f"{label}.readable", f"{path}: {e}")
         return None
-
-
-def check_bench1(baseline, fresh, floor):
-    """BENCH_1: solve-chain throughput, streaming latency, pruning."""
-    floor_aps = baseline["alerts_per_sec"] * floor
-    check(
-        "throughput.alerts_per_sec",
-        fresh["alerts_per_sec"] >= floor_aps,
-        f'{fresh["alerts_per_sec"]:.0f} alerts/sec (floor {floor_aps:.0f}, '
-        f'baseline {baseline["alerts_per_sec"]:.0f})',
-    )
-    floor_hit = baseline["warm_start_hit_rate"] * floor
-    check(
-        "throughput.warm_start_hit_rate",
-        fresh["warm_start_hit_rate"] >= floor_hit,
-        f'{fresh["warm_start_hit_rate"]:.4f} (floor {floor_hit:.4f})',
-    )
-    check(
-        "throughput.warm_speedup_5type",
-        fresh["warm_vs_cold_5type"]["speedup"] >= 1.0,
-        f'{fresh["warm_vs_cold_5type"]["speedup"]:.2f}x warm-vs-cold',
-    )
-
-    # The streaming block must exist with sane percentiles (a missing or
-    # zeroed block means the session ingest path silently stopped being
-    # measured), its throughput is floored like the bulk replay, and its p99
-    # is ceilinged against the committed baseline: latency is
-    # lower-is-better, so the fresh run may be at most 1/floor (4x at the
-    # default 0.25) of the baseline p99.
-    streaming = fresh.get("streaming")
-    streaming_ok = isinstance(streaming, dict) and isinstance(
-        streaming.get("latency_micros"), dict)
-    check(
-        "streaming.present",
-        streaming_ok,
-        "BENCH_1 carries a streaming latency block",
-    )
-    if streaming_ok:
-        lat = streaming["latency_micros"]
-        check(
-            "streaming.latency_sane",
-            0.0 < lat["p50"] <= lat["p99"],
-            f'p50 {lat["p50"]:.1f}us <= p99 {lat["p99"]:.1f}us',
-        )
-        floor_stream_aps = baseline["streaming"]["alerts_per_sec"] * floor
-        check(
-            "streaming.alerts_per_sec",
-            streaming["alerts_per_sec"] >= floor_stream_aps,
-            f'{streaming["alerts_per_sec"]:.0f} alerts/sec '
-            f"(floor {floor_stream_aps:.0f})",
-        )
-        p99_ceiling = baseline["streaming"]["latency_micros"]["p99"] / floor
-        check(
-            "streaming.p99_micros",
-            lat["p99"] <= p99_ceiling,
-            f'{lat["p99"]:.1f}us (ceiling {p99_ceiling:.1f}us, baseline '
-            f'{baseline["streaming"]["latency_micros"]["p99"]:.1f}us)',
-        )
-
-    # The pruning skip counters are deterministic (unlike wall-clock), so
-    # they are gated tightly: the pruned arm must actually retire most
-    # candidate LPs, and the exhaustive arm must still solve one LP per type
-    # (proving the comparison measures what it claims). The wall-clock
-    # speedup only needs to clear 1.0 loosely — a pruning layer that *slows
-    # the solver down* is a regression even on a noisy runner.
-    pruning = fresh.get("pruning")
-    pruning_ok = isinstance(pruning, dict)
-    check("pruning.present", pruning_ok, "BENCH_1 carries a pruning block")
-    if pruning_ok:
-        check(
-            "pruning.pruned_lp_fraction",
-            0.5 <= pruning["pruned_lp_fraction"] <= 1.0,
-            f'{pruning["pruned_lp_fraction"]:.4f} of candidate LPs pruned',
-        )
-        check(
-            "pruning.exhaustive_arm_is_exhaustive",
-            pruning["lp_solves_per_solve_exhaustive"] > 6.0,
-            f'{pruning["lp_solves_per_solve_exhaustive"]:.2f} LPs/solve '
-            "(7-type game)",
-        )
-        check(
-            "pruning.speedup",
-            pruning["speedup"] >= 1.1,
-            f'{pruning["speedup"]:.2f}x pruned vs exhaustive',
-        )
-
-
-def check_lp_kernel(baseline, fresh, floor):
-    """BENCH_1: the blocked simplex kernel vs the frozen scalar reference,
-    and the certified ε-approximate solve mode."""
-    kernel = fresh.get("lp_kernel")
-    kernel_ok = isinstance(kernel, dict) and isinstance(
-        kernel.get("sizes"), list)
-    check(
-        "lp_kernel.present",
-        kernel_ok,
-        "BENCH_1 carries an lp_kernel block",
-    )
-    if not kernel_ok:
-        return
-    sizes = {row["types"]: row for row in kernel["sizes"]}
-    check(
-        "lp_kernel.sizes",
-        all(t in sizes for t in (28, 64, 128)),
-        f"measured type counts: {sorted(sizes)}",
-    )
-    # The committed baseline carries the headline claim: the blocked kernel
-    # beats the frozen reference by >= 1.5x on the 128-type candidate LPs
-    # (same Bland pivot sequence, so the ratio is pure per-pivot
-    # throughput). The fresh run only needs to clear a noise-scaled floor —
-    # a same-machine ratio is robust, but CI runners still jitter.
-    base_sizes = {
-        row["types"]: row
-        for row in baseline.get("lp_kernel", {}).get("sizes", [])}
-    if 128 in base_sizes:
-        check(
-            "lp_kernel.speedup_128_baseline",
-            base_sizes[128]["speedup"] >= 1.5,
-            f'committed baseline claims {base_sizes[128]["speedup"]:.2f}x '
-            "(floor 1.50)",
-        )
-    else:
-        check(
-            "lp_kernel.speedup_128_baseline",
-            False,
-            "no 128-type row in the committed baseline; regenerate "
-            "BENCH_1.json to re-arm the gate",
-        )
-    if 128 in sizes:
-        fresh_floor = max(1.1, 1.5 * floor)
-        check(
-            "lp_kernel.speedup_128",
-            sizes[128]["speedup"] >= fresh_floor,
-            f'{sizes[128]["speedup"]:.2f}x blocked vs reference '
-            f"(floor {fresh_floor:.2f})",
-        )
-        check(
-            "lp_kernel.pivots_128",
-            sizes[128]["pivots_per_lp"] >= 10.0,
-            f'{sizes[128]["pivots_per_lp"]:.1f} pivots/LP — the candidate '
-            "programs do real simplex work",
-        )
-    # The ε-mode counters are deterministic; the certificate bound is a hard
-    # engine guarantee (each skipped day certifies <= ε per solve), so both
-    # are gated exactly rather than floored.
-    eps = kernel.get("epsilon_mode")
-    eps_ok = isinstance(eps, dict)
-    check(
-        "lp_kernel.epsilon_mode.present",
-        eps_ok,
-        "lp_kernel carries the ε-approximate mode leg",
-    )
-    if not eps_ok:
-        return
-    check(
-        "lp_kernel.epsilon_mode.skips",
-        eps["skipped_candidate_lps"] >= 1
-        and 0.0 < eps["skip_fraction"] <= 1.0,
-        f'{eps["skipped_candidate_lps"]} candidate LPs skipped '
-        f'({eps["skip_fraction"]:.4f} of decisions) at '
-        f'ε = {eps["epsilon"]:.1f}',
-    )
-    check(
-        "lp_kernel.epsilon_mode.certificate",
-        0.0 <= eps["worst_day_certified_loss"]
-        and eps["total_certified_loss"]
-        <= eps["epsilon"] * eps["solves"] + 1e-9,
-        f'worst day {eps["worst_day_certified_loss"]:.4f}, total '
-        f'{eps["total_certified_loss"]:.4f} over {eps["solves"]} solves '
-        f'(bound ε × solves = {eps["epsilon"] * eps["solves"]:.1f})',
-    )
-
-
-def check_scenarios(scenarios, scenario_baseline, baseline, floor):
-    """BENCH_2: every registered scenario replays at real throughput."""
-    # The throughput floor here is deliberately absolute, not derived from
-    # the 7-type BENCH_1 baseline: scenarios are free to be intrinsically
-    # heavier (more types, bigger populations). The floor only catches
-    # catastrophic regressions like an accidentally quadratic replay.
-    scenario_floor_aps = 500.0
-    # The warm-hit floor rides on the BENCH_1 baseline when it was loaded;
-    # standalone runs of this section fall back to an absolute floor.
-    if baseline is not None:
-        floor_hit = baseline["warm_start_hit_rate"] * floor
-    else:
-        floor_hit = 0.2
-    # The federated scenarios are what the incremental solve layer exists
-    # for; their pruning skip rate is gated (deterministic) and — when a
-    # committed BENCH_2 baseline is supplied — so is their throughput.
-    federated = {"multi-site", "metro-grid"}
-    baseline_rows = {}
-    if scenario_baseline is not None:
-        baseline_rows = {
-            row["name"]: row for row in scenario_baseline["scenarios"]}
-    rows = scenarios["scenarios"]
-    check("scenarios.count", len(rows) >= 7, f"{len(rows)} scenarios")
-    for row in rows:
-        name = row["name"]
-        check(
-            f"scenario.{name}.alerts",
-            row["alerts"] > 100,
-            f'{row["alerts"]} alerts replayed',
-        )
-        check(
-            f"scenario.{name}.alerts_per_sec",
-            row["alerts_per_sec"] >= scenario_floor_aps,
-            f'{row["alerts_per_sec"]:.0f} alerts/sec '
-            f"(floor {scenario_floor_aps:.0f})",
-        )
-        check(
-            f"scenario.{name}.warm_start_hit_rate",
-            row["warm_start_hit_rate"] >= floor_hit,
-            f'{row["warm_start_hit_rate"]:.4f} (floor {floor_hit:.4f})',
-        )
-        fraction = row.get("pruned_lp_fraction", 0.0)
-        check(
-            f"scenario.{name}.pruned_lp_fraction_sane",
-            0.0 <= fraction < 1.0,
-            f"{fraction:.4f} within [0, 1)",
-        )
-        if name in federated:
-            check(
-                f"scenario.{name}.pruned_lp_fraction",
-                fraction >= 0.5,
-                f"{fraction:.4f} of candidate LPs pruned (floor 0.5)",
-            )
-            if name in baseline_rows:
-                scen_floor = baseline_rows[name]["alerts_per_sec"] * floor
-                check(
-                    f"scenario.{name}.alerts_per_sec_vs_baseline",
-                    row["alerts_per_sec"] >= scen_floor,
-                    f'{row["alerts_per_sec"]:.0f} alerts/sec (floor '
-                    f"{scen_floor:.0f}, baseline "
-                    f'{baseline_rows[name]["alerts_per_sec"]:.0f})',
-                )
-            elif scenario_baseline is not None:
-                # A federated scenario with no committed baseline row would
-                # silently disarm the throughput gate; fail loudly so a
-                # stale/renamed BENCH_2 baseline can't mask a regression.
-                check(
-                    f"scenario.{name}.alerts_per_sec_vs_baseline",
-                    False,
-                    "scenario missing from the committed scenario baseline; "
-                    "regenerate BENCH_2.json to re-arm the gate",
-                )
-
-
-def check_service_concurrent(scenarios, scenario_baseline, floor):
-    """BENCH_2: multi-tenant AuditService throughput."""
-    # The service front door multiplexes N tenants' owned sessions over a
-    # worker pool; its concurrent throughput is floored both absolutely
-    # (catastrophic-regression catch) and against the committed baseline
-    # (same convention as the federated scenarios). The concurrent-vs-serial
-    # speedup is only gated on hosts that can physically show one.
-    scenario_floor_aps = 500.0
-    service = scenarios.get("service_concurrent")
-    service_ok = isinstance(service, dict)
-    check(
-        "service_concurrent.present",
-        service_ok,
-        "BENCH_2 carries a service_concurrent block",
-    )
-    if not service_ok:
-        return
-    check(
-        "service_concurrent.alerts",
-        service["alerts"] > 1000,
-        f'{service["alerts"]} alerts served across '
-        f'{service["tenants"]} tenants',
-    )
-    check(
-        "service_concurrent.alerts_per_sec",
-        service["alerts_per_sec"] >= scenario_floor_aps,
-        f'{service["alerts_per_sec"]:.0f} alerts/sec '
-        f"(absolute floor {scenario_floor_aps:.0f})",
-    )
-    if scenario_baseline is not None:
-        service_base = scenario_baseline.get("service_concurrent")
-        if service_base:
-            service_floor = service_base["alerts_per_sec"] * floor
-            check(
-                "service_concurrent.alerts_per_sec_vs_baseline",
-                service["alerts_per_sec"] >= service_floor,
-                f'{service["alerts_per_sec"]:.0f} alerts/sec (floor '
-                f"{service_floor:.0f}, baseline "
-                f'{service_base["alerts_per_sec"]:.0f})',
-            )
-        else:
-            # A missing committed section would silently disarm the gate;
-            # fail loudly so a stale BENCH_2 baseline cannot mask a
-            # front-door regression.
-            check(
-                "service_concurrent.alerts_per_sec_vs_baseline",
-                False,
-                "section missing from the committed scenario baseline; "
-                "regenerate BENCH_2.json to re-arm the gate",
-            )
-    service_threads = service["threads_available"]
-    if service_threads >= 4 and service["workers"] > 1:
-        check(
-            "service_concurrent.speedup_vs_serial",
-            service["speedup_vs_serial"] > 1.3,
-            f'{service["speedup_vs_serial"]:.2f}x over '
-            f'{service["workers"]} workers '
-            f"({service_threads} threads available)",
-        )
-    else:
-        note = service.get("note", "")
-        print(
-            f"[SKIP] service_concurrent.speedup_vs_serial: only "
-            f"{service_threads} thread(s) available, measured "
-            f'{service["speedup_vs_serial"]:.2f}x'
-            + (f" — {note}" if note else "")
-        )
-
-
-def check_durability(scenarios, scenario_baseline, floor):
-    """BENCH_2: WAL cost and crash recovery."""
-    # The durability section logs a 10k-alert day through the write-ahead
-    # log (fsync on and off) and recovers it from the surviving bytes. The
-    # bitwise-equality flag is a hard correctness gate: a recovered day that
-    # diverges from the uninterrupted run is a bug regardless of runner
-    # noise. Throughput floors are absolute like the scenario replays —
-    # fsync-on gets a much lower floor because a barrier per record is
-    # disk-bound, not CPU-bound, and CI disks vary wildly.
-    scenario_floor_aps = 500.0
-    durability = scenarios.get("durability")
-    durability_ok = isinstance(durability, dict)
-    check(
-        "durability.present",
-        durability_ok,
-        "BENCH_2 carries a durability block",
-    )
-    if not durability_ok:
-        return
-    check(
-        "durability.alerts",
-        durability["alerts"] >= 10000,
-        f'{durability["alerts"]} alerts logged and recovered',
-    )
-    check(
-        "durability.recovered_bitwise_equal",
-        durability.get("recovered_bitwise_equal") is True,
-        "recovered day matches the uninterrupted run bitwise",
-    )
-    check(
-        "durability.fsync_off_alerts_per_sec",
-        durability["fsync_off_alerts_per_sec"] >= scenario_floor_aps,
-        f'{durability["fsync_off_alerts_per_sec"]:.0f} alerts/sec '
-        f"(floor {scenario_floor_aps:.0f})",
-    )
-    check(
-        "durability.fsync_on_alerts_per_sec",
-        durability["fsync_on_alerts_per_sec"] >= 25.0,
-        f'{durability["fsync_on_alerts_per_sec"]:.0f} alerts/sec '
-        "(floor 25, disk-bound)",
-    )
-    check(
-        "durability.recovery_alerts_per_sec",
-        durability["recovery_alerts_per_sec"] >= scenario_floor_aps,
-        f'{durability["recovery_alerts_per_sec"]:.0f} alerts/sec '
-        f'replayed in {durability["recovery_wall_seconds"]:.3f}s '
-        f"(floor {scenario_floor_aps:.0f})",
-    )
-    if scenario_baseline is not None:
-        durability_base = scenario_baseline.get("durability")
-        if durability_base:
-            recovery_floor = (
-                durability_base["recovery_alerts_per_sec"] * floor)
-            check(
-                "durability.recovery_vs_baseline",
-                durability["recovery_alerts_per_sec"] >= recovery_floor,
-                f'{durability["recovery_alerts_per_sec"]:.0f} alerts/sec '
-                f"(floor {recovery_floor:.0f}, baseline "
-                f'{durability_base["recovery_alerts_per_sec"]:.0f})',
-            )
-        else:
-            check(
-                "durability.recovery_vs_baseline",
-                False,
-                "section missing from the committed scenario baseline; "
-                "regenerate BENCH_2.json to re-arm the gate",
-            )
-
-
-def check_sharding(scenarios):
-    """BENCH_2: sharded replay must actually scale on multi-core runners."""
-    # The comparison is only meaningful when the binary was built with the
-    # `parallel` feature (otherwise replay runs sequentially and the
-    # "speedup" is pure timer noise) — the perf-smoke job always builds with
-    # it, so a missing feature flag is a CI misconfiguration and fails hard.
-    # On < 4 cores a speedup is physically impossible; BENCH_2 records the
-    # honest ~1.0x plus a note, and the gate is skipped. A broken parallel
-    # path on >= 4 cores measures ~1.0x; real sharding measures ~3x. The
-    # gate sits at 1.3 (not the ~1.5+ the bench output shows on a quiet
-    # 4-core host) because shared CI runners are noisy and each best-of-3
-    # leg is only tens of milliseconds.
-    sharding = scenarios["sharding"]
-    threads = sharding["threads_available"]
-    check(
-        "sharding.parallel_feature",
-        sharding.get("parallel_feature", False),
-        "bench binary built with the `parallel` feature",
-    )
-    if threads >= 4:
-        check(
-            "sharding.speedup",
-            sharding["speedup"] > 1.3,
-            f'{sharding["speedup"]:.2f}x over {sharding["shards"]} shards '
-            f"({threads} threads available)",
-        )
-    else:
-        note = sharding.get("note", "")
-        print(
-            f"[SKIP] sharding.speedup: only {threads} thread(s) available, "
-            f'measured {sharding["speedup"]:.2f}x'
-            + (f" — {note}" if note else "")
-        )
-
-
-def check_cluster(scenarios):
-    """BENCH_2: the consistent-hash cluster's multi-core scaling curves."""
-    # Two curves per shard count (1/2/4/8, capped at the tenant count): the
-    # engine's sharded batch replay, and the sag-cluster deployment shape —
-    # N independent AuditService shards each driven by its own OS thread.
-    # `results_identical` is a hard correctness gate: a shard count that
-    # changes any per-tenant result bitwise breaks the routing invariant.
-    # Speedup floors are only enforced at points the host can physically
-    # show (workers <= cores); an honest ~1.0x elsewhere is a pass. The
-    # cluster curve threads regardless of the `parallel` feature; the
-    # replay curve additionally needs it to fan out.
-    cluster = scenarios.get("cluster")
-    cluster_ok = isinstance(cluster, dict) and isinstance(
-        cluster.get("points"), list)
-    check(
-        "cluster.present",
-        cluster_ok,
-        "BENCH_2 carries a cluster scaling block",
-    )
-    if not cluster_ok:
-        return
-    check(
-        "cluster.results_identical",
-        cluster.get("results_identical") is True,
-        "per-tenant results bitwise identical at every shard count",
-    )
-    points = cluster["points"]
-    check(
-        "cluster.points",
-        len(points) >= 1 and points[0]["workers"] == 1,
-        f"{len(points)} point(s), curve starts at 1 shard",
-    )
-    threads = cluster["threads_available"]
-    parallel = cluster.get("parallel_feature", False)
-    for point in points:
-        workers = point["workers"]
-        if workers <= 1:
-            continue
-        label = f"cluster.speedup_{workers}shards"
-        if threads >= workers:
-            check(
-                label,
-                point["cluster_speedup"] > 1.2,
-                f'{point["cluster_speedup"]:.2f}x thread-per-shard over '
-                f"{workers} shards ({threads} threads available)",
-            )
-            if parallel:
-                check(
-                    f"cluster.replay_speedup_{workers}shards",
-                    point["replay_speedup"] > 1.2,
-                    f'{point["replay_speedup"]:.2f}x sharded replay over '
-                    f"{workers} shards",
-                )
-        else:
-            note = cluster.get("note", "")
-            print(
-                f"[SKIP] {label}: only {threads} thread(s) available for "
-                f'{workers} shards, measured {point["cluster_speedup"]:.2f}x'
-                + (f" — {note}" if note else "")
-            )
-
-
-def check_service_network(scenarios, scenario_baseline, floor):
-    """BENCH_2: the TCP front door under concurrent load (load_gen)."""
-    # Produced by `load_gen` driving a tenant fleet over real loopback
-    # sockets. `metrics_consistent` is a hard correctness gate — the
-    # counters scraped from the wire either account for every request the
-    # generator sent or the observability layer is lying. Throughput gets
-    # an absolute floor well under the committed numbers (socket framing
-    # on a noisy shared runner), latency is ceilinged against the
-    # committed baseline like BENCH_1's streaming block, and the shed
-    # probe's counters are deterministic, so they are gated exactly.
-    network_floor_aps = 300.0
-    network = scenarios.get("service_network")
-    network_ok = isinstance(network, dict)
-    check(
-        "service_network.present",
-        network_ok,
-        "report carries a service_network block",
-    )
-    if not network_ok:
-        return
-    check(
-        "service_network.metrics_consistent",
-        network.get("metrics_consistent") is True,
-        "scraped counters account for every request sent"
-        + (f' — {"; ".join(network["metrics_notes"])}'
-           if network.get("metrics_notes") else ""),
-    )
-    check(
-        "service_network.alerts",
-        network["alerts"] > 500,
-        f'{network["alerts"]} alerts served to {network["tenants"]} '
-        "concurrent tenants",
-    )
-    check(
-        "service_network.alerts_per_sec",
-        network["alerts_per_sec"] >= network_floor_aps,
-        f'{network["alerts_per_sec"]:.0f} alerts/sec sustained '
-        f"(absolute floor {network_floor_aps:.0f})",
-    )
-    lat = network["latency_micros"]
-    check(
-        "service_network.latency_sane",
-        0.0 < lat["p50"] <= lat["p99"],
-        f'p50 {lat["p50"]:.0f}us <= p99 {lat["p99"]:.0f}us',
-    )
-    # A sharded run (load_gen --shards N) carries a per-shard breakdown;
-    # the shard slices must account for exactly the aggregate burst.
-    shards = network.get("shards", 1)
-    if shards > 1:
-        per_shard = network.get("per_shard")
-        per_shard_ok = isinstance(per_shard, list) and len(per_shard) == shards
-        shard_alerts = (
-            sum(s["alerts"] for s in per_shard) if per_shard_ok else -1)
-        check(
-            "service_network.per_shard",
-            per_shard_ok and shard_alerts == network["alerts"],
-            f"{len(per_shard) if per_shard_ok else 0} shard slice(s) "
-            f"accounting for {shard_alerts}/{network['alerts']} alerts",
-        )
-    probe = network.get("shed_probe")
-    probe_ok = isinstance(probe, dict)
-    check(
-        "service_network.shed_probe.present",
-        probe_ok,
-        "report carries the over-quota shed probe",
-    )
-    if probe_ok:
-        check(
-            "service_network.shed_probe.sheds",
-            probe["shed"] >= 1 and probe["served"] >= 1,
-            f'{probe["burst"]}-deep burst vs quota {probe["quota"]}: '
-            f'{probe["served"]} served, {probe["shed"]} shed',
-        )
-        check(
-            "service_network.shed_probe.retries",
-            probe["retried_ok"] == probe["shed"],
-            f'{probe["retried_ok"]}/{probe["shed"]} shed pushes succeeded '
-            "on retry",
-        )
-    if scenario_baseline is not None:
-        network_base = scenario_baseline.get("service_network")
-        if network_base:
-            aps_floor = network_base["alerts_per_sec"] * floor
-            check(
-                "service_network.alerts_per_sec_vs_baseline",
-                network["alerts_per_sec"] >= aps_floor,
-                f'{network["alerts_per_sec"]:.0f} alerts/sec (floor '
-                f"{aps_floor:.0f}, baseline "
-                f'{network_base["alerts_per_sec"]:.0f})',
-            )
-            p99_ceiling = network_base["latency_micros"]["p99"] / floor
-            check(
-                "service_network.p99_micros",
-                lat["p99"] <= p99_ceiling,
-                f'{lat["p99"]:.0f}us (ceiling {p99_ceiling:.0f}us, baseline '
-                f'{network_base["latency_micros"]["p99"]:.0f}us)',
-            )
-        else:
-            check(
-                "service_network.alerts_per_sec_vs_baseline",
-                False,
-                "section missing from the committed scenario baseline; "
-                "regenerate BENCH_2.json to re-arm the gate",
-            )
-
-
-def check_service_chaos(scenarios, scenario_baseline, floor):
-    """BENCH_2: the front door under injected faults (load_gen --chaos)."""
-    # Produced by `load_gen --chaos`: the fleet driven through a seeded
-    # fault-injecting proxy (duplicates, resets, delays, plus two scripted
-    # faults that guarantee the retry and dedup paths fire every run).
-    # `bitwise_equal` and `recovery_converged` are hard correctness gates —
-    # exactly-once either holds under faults or the protocol is broken.
-    # Goodput gets a low absolute floor: the run spends real wall-clock in
-    # backoff sleeps by design.
-    chaos_floor_aps = 100.0
-    chaos = scenarios.get("service_chaos")
-    chaos_ok = isinstance(chaos, dict)
-    check(
-        "service_chaos.present",
-        chaos_ok,
-        "report carries a service_chaos block",
-    )
-    if not chaos_ok:
-        return
-    check(
-        "service_chaos.bitwise_equal",
-        chaos.get("bitwise_equal") is True,
-        "faulted results match the unfaulted control bitwise",
-    )
-    check(
-        "service_chaos.recovery_converged",
-        chaos.get("recovery_converged") is True,
-        "kill-and-recover probe converged through the WAL",
-    )
-    check(
-        "service_chaos.faults_injected",
-        chaos["faults_injected"] >= 10,
-        f'{chaos["faults_injected"]} faults injected — the proxy did real '
-        "damage",
-    )
-    check(
-        "service_chaos.retries",
-        chaos["retries"] >= 1,
-        f'{chaos["retries"]} client retries ({chaos["reconnects"]} '
-        "reconnects)",
-    )
-    check(
-        "service_chaos.duplicates_suppressed",
-        chaos["duplicates_suppressed"] + chaos["duplicates_replayed"] >= 1,
-        f'{chaos["duplicates_suppressed"]} suppressed / '
-        f'{chaos["duplicates_replayed"]} replayed server-side',
-    )
-    check(
-        "service_chaos.goodput_alerts_per_sec",
-        chaos["goodput_alerts_per_sec"] >= chaos_floor_aps,
-        f'{chaos["goodput_alerts_per_sec"]:.0f} alerts/sec goodput under '
-        f"faults (absolute floor {chaos_floor_aps:.0f})",
-    )
-    if scenario_baseline is not None:
-        chaos_base = scenario_baseline.get("service_chaos")
-        if chaos_base:
-            goodput_floor = chaos_base["goodput_alerts_per_sec"] * floor
-            check(
-                "service_chaos.goodput_vs_baseline",
-                chaos["goodput_alerts_per_sec"] >= goodput_floor,
-                f'{chaos["goodput_alerts_per_sec"]:.0f} alerts/sec (floor '
-                f"{goodput_floor:.0f}, baseline "
-                f'{chaos_base["goodput_alerts_per_sec"]:.0f})',
-            )
-        else:
-            check(
-                "service_chaos.goodput_vs_baseline",
-                False,
-                "section missing from the committed scenario baseline; "
-                "regenerate BENCH_2.json to re-arm the gate",
-            )
-
-
-def run_section(name, fn, *args):
-    """Run one section; a crash (missing key, wrong shape) fails that
-    section without silencing the others."""
-    try:
-        fn(*args)
-    except (KeyError, TypeError, IndexError) as e:
-        check(f"{name}.well_formed", False,
-              f"section check crashed on malformed report: {e!r}")
 
 
 def main():
@@ -753,9 +398,8 @@ def main():
     if unknown:
         parser.error(f"unknown section(s): {', '.join(unknown)}")
 
-    bench1_sections = {"bench1", "lp_kernel"}
-    needs_bench1 = bool(bench1_sections & set(selected))
-    needs_scenarios = any(s not in bench1_sections for s in selected)
+    needs_bench1 = any(SECTIONS[s][0] == "bench1" for s in selected)
+    needs_scenarios = any(SECTIONS[s][0] == "bench2" for s in selected)
     if needs_bench1 and not (args.baseline and args.throughput):
         parser.error("the bench1 and lp_kernel sections need --baseline "
                      "and --throughput")
@@ -763,38 +407,24 @@ def main():
         parser.error("every section except bench1/lp_kernel needs "
                      "--scenarios")
 
-    baseline = load_json(args.baseline, "bench1") if needs_bench1 else None
-    fresh = load_json(args.throughput, "bench1") if needs_bench1 else None
-    scenarios = (load_json(args.scenarios, "scenarios")
-                 if needs_scenarios else None)
-    scenario_baseline = load_json(args.scenario_baseline, "scenario_baseline")
-
-    if baseline is not None and fresh is not None:
-        if "bench1" in selected:
-            run_section("bench1", check_bench1, baseline, fresh, args.floor)
-        if "lp_kernel" in selected:
-            run_section("lp_kernel", check_lp_kernel, baseline, fresh,
-                        args.floor)
-    if scenarios is not None:
-        if "scenarios" in selected:
-            run_section("scenarios", check_scenarios, scenarios,
-                        scenario_baseline, baseline, args.floor)
-        if "service_concurrent" in selected:
-            run_section("service_concurrent", check_service_concurrent,
-                        scenarios, scenario_baseline, args.floor)
-        if "durability" in selected:
-            run_section("durability", check_durability, scenarios,
-                        scenario_baseline, args.floor)
-        if "sharding" in selected:
-            run_section("sharding", check_sharding, scenarios)
-        if "cluster" in selected:
-            run_section("cluster", check_cluster, scenarios)
-        if "service_network" in selected:
-            run_section("service_network", check_service_network, scenarios,
-                        scenario_baseline, args.floor)
-        if "service_chaos" in selected:
-            run_section("service_chaos", check_service_chaos, scenarios,
-                        scenario_baseline, args.floor)
+    bases = {
+        "bench1": load_json(args.baseline, "bench1") if needs_bench1 else None,
+        "bench2": load_json(args.scenario_baseline, "scenario_baseline"),
+    }
+    docs = {
+        "bench1": load_json(args.throughput, "bench1") if needs_bench1 else None,
+        "bench2": (load_json(args.scenarios, "scenarios")
+                   if needs_scenarios else None),
+    }
+    if bases["bench1"] is None:
+        docs["bench1"] = None  # every bench1 floor is relative to it
+    try:
+        hit_floor = bases["bench1"]["warm_start_hit_rate"] * args.floor
+    except (KeyError, TypeError):
+        hit_floor = 0.2
+    env = {"floor": args.floor, "hit_floor": hit_floor, "inf": math.inf,
+           "len": len, "sum": sum, "set": set, "max": max}
+    run(selected, docs, bases, env)
 
     if failures:
         print(f"\n{len(failures)} perf floor(s) violated: "

@@ -11,7 +11,9 @@
 //! history, per [`sag_scenarios::tenant_fleet`]), starts the TCP front
 //! door, prints one `listening on ADDR` line to stdout, and serves until
 //! killed. The metrics page answers `curl http://ADDR/` on the same port,
-//! and `/healthz` answers `ok` — poll it for readiness instead of sleeping.
+//! and `/healthz` answers `ok` while every shard's service thread runs (503
+//! naming the dead shards otherwise) — poll it for readiness instead of
+//! sleeping.
 //!
 //! With `--wal-dir DIR` every mutation is logged before it is acknowledged;
 //! `--recover` additionally replays an existing WAL in DIR on boot, so a

@@ -511,8 +511,8 @@ impl From<NetError> for ClientError {
 }
 
 /// Fetch one plaintext page from the server's HTTP side door, under the
-/// default [`ClientConfig`] deadlines.
-fn http_get(addr: impl ToSocketAddrs, path: &str) -> Result<String, NetError> {
+/// default [`ClientConfig`] deadlines, as `(status line, body)`.
+fn http_get(addr: impl ToSocketAddrs, path: &str) -> Result<(String, String), NetError> {
     let config = ClientConfig::default();
     let mut stream = TcpStream::connect_timeout(&resolve(addr)?, config.connect_timeout)
         .map_err(|e| timeout_or_io(e, "connect"))?;
@@ -526,7 +526,10 @@ fn http_get(addr: impl ToSocketAddrs, path: &str) -> Result<String, NetError> {
     stream.read_to_end(&mut raw)?;
     let text = String::from_utf8(raw).map_err(|_| NetError::Codec(CodecError::BadUtf8))?;
     match text.split_once("\r\n\r\n") {
-        Some((_headers, body)) => Ok(body.to_owned()),
+        Some((headers, body)) => {
+            let status = headers.lines().next().unwrap_or_default();
+            Ok((status.to_owned(), body.to_owned()))
+        }
         None => Err(CodecError::Truncated.into()),
     }
 }
@@ -540,17 +543,26 @@ fn http_get(addr: impl ToSocketAddrs, path: &str) -> Result<String, NetError> {
 /// [`NetError::Io`] / [`NetError::Timeout`] on socket failure,
 /// [`CodecError::Truncated`] when the response carries no body.
 pub fn fetch_metrics(addr: impl ToSocketAddrs) -> Result<String, NetError> {
-    http_get(addr, "/metrics")
+    http_get(addr, "/metrics").map(|(_, body)| body)
 }
 
 /// Probe the server's `/healthz` endpoint; `Ok("ok\n")` means the server
-/// is accepting connections and answering. Deadline-guarded like
-/// [`fetch_metrics`].
+/// is accepting connections and every shard's service thread is running.
+/// Deadline-guarded like [`fetch_metrics`].
 ///
 /// # Errors
 ///
 /// [`NetError::Io`] / [`NetError::Timeout`] when the server is not (yet)
-/// reachable.
+/// reachable, and [`NetError::Io`] carrying the status line and body (which
+/// names the dead shards) when it answers anything but `200`.
 pub fn fetch_health(addr: impl ToSocketAddrs) -> Result<String, NetError> {
-    http_get(addr, "/healthz")
+    let (status, body) = http_get(addr, "/healthz")?;
+    if status.split_whitespace().nth(1) == Some("200") {
+        Ok(body)
+    } else {
+        Err(NetError::Io(std::io::Error::other(format!(
+            "{status}: {}",
+            body.trim_end()
+        ))))
+    }
 }

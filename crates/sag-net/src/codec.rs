@@ -57,7 +57,7 @@ use bytes::{BufMut, Bytes, BytesMut};
 use sag_core::sse::{SseCacheTotals, SseSolveStats};
 use sag_core::{AlertOutcome, CycleResult, SignalingScheme};
 use sag_service::{Request, Response, ServiceError, SessionId, TenantId};
-use sag_sim::{Alert, AlertTypeId, TimeOfDay};
+use sag_sim::{Alert, AlertTypeId, TimeOfDay, SECONDS_PER_DAY};
 use sag_wal::crc32;
 use std::fmt;
 use std::io::{Read, Write};
@@ -102,6 +102,8 @@ pub enum CodecError {
     UnknownErrorCode(u8),
     /// A string field held invalid UTF-8.
     BadUtf8,
+    /// An alert's time of day is not below [`SECONDS_PER_DAY`].
+    BadTimeOfDay(u32),
     /// The payload decoded cleanly but left unread bytes behind — a codec
     /// drift between peers, surfaced loudly instead of ignored.
     TrailingBytes(usize),
@@ -135,6 +137,10 @@ impl fmt::Display for CodecError {
             CodecError::UnknownKind(k) => write!(f, "unknown message kind {k}"),
             CodecError::UnknownErrorCode(c) => write!(f, "unknown error code {c}"),
             CodecError::BadUtf8 => write!(f, "string field is not valid UTF-8"),
+            CodecError::BadTimeOfDay(seconds) => write!(
+                f,
+                "alert time {seconds} s is past the end of the day ({SECONDS_PER_DAY} s)"
+            ),
             CodecError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after a complete message")
             }
@@ -464,6 +470,11 @@ pub fn decode_request(payload: &[u8]) -> Result<(u64, TenantId, Request), CodecE
             let session = SessionId::from_raw(r.u64()?);
             let day = r.u32()?;
             let seconds = r.u32()?;
+            // `TimeOfDay::from_seconds` clamps; an alert past midnight is
+            // a client bug to refuse, not a time to invent.
+            if seconds >= SECONDS_PER_DAY {
+                return Err(CodecError::BadTimeOfDay(seconds));
+            }
             let type_id = AlertTypeId(r.u16()?);
             let is_attack = r.u8()? != 0;
             Request::PushAlert {
@@ -930,6 +941,33 @@ mod tests {
                 Err(CodecError::Truncated) | Err(CodecError::UnknownKind(_)) => {}
                 other => panic!("cut at {cut}: unexpected {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn alert_time_past_the_day_is_rejected_not_clamped() {
+        let push = |seconds: u32| {
+            let mut bytes = encode_request(
+                4,
+                &TenantId::from("icu"),
+                &Request::PushAlert {
+                    session: SessionId::from_raw(9),
+                    alert: sample_alert(),
+                },
+            )
+            .to_vec();
+            // The time field sits 7 bytes from the end: secs:u32 type:u16 att:u8.
+            let at = bytes.len() - 7;
+            bytes[at..at + 4].copy_from_slice(&seconds.to_le_bytes());
+            decode_request(&bytes)
+        };
+        let last = SECONDS_PER_DAY - 1;
+        match push(last) {
+            Ok((_, _, Request::PushAlert { alert, .. })) => assert_eq!(alert.time.seconds(), last),
+            other => panic!("last second of the day answered {other:?}"),
+        }
+        for seconds in [SECONDS_PER_DAY, SECONDS_PER_DAY + 100, u32::MAX] {
+            assert_eq!(push(seconds), Err(CodecError::BadTimeOfDay(seconds)));
         }
     }
 

@@ -8,11 +8,23 @@
 //! jobs from its own *bounded* [`std::sync::mpsc::sync_channel`]. The
 //! unsharded [`Server::start`] is literally the one-shard special case of
 //! [`Server::start_cluster`]: same acceptor, same readers, one queue, one
-//! service thread. Everything in front of the queues is allowed to be
-//! many: an **acceptor** thread hands each connection to its own
-//! **reader** thread (decodes frames, admits against quotas, routes to the
-//! owning shard's queue via the [`ShardRouter`], enqueues) paired with a
-//! **writer** thread (sends replies back in request order).
+//! service thread. In front of the queues, an **acceptor** thread hands each
+//! connection to its own **reader** thread, which reads frames through a
+//! buffer (one `read` per burst of pipelined frames), decodes them, admits
+//! them against quotas, and routes each to the owning shard's queue via the
+//! [`ShardRouter`]. There is no writer thread: a reply is written by
+//! whichever thread completes it.
+//!
+//! A service thread blocks for one job, takes whatever else is already
+//! queued (up to a fixed batch of 64), serves the batch, and then writes
+//! each connection it answered with one `write_all` — one syscall per
+//! connection per batch instead of one per reply frame.
+//!
+//! Every socket write runs under [`WRITE_DEADLINE`]. A peer that stops
+//! reading (or a failed write) gets its connection shut down and its later
+//! replies dropped, so it cannot stall its shard for every other tenant.
+//! Dropping replies is safe: a client retries under the same request id,
+//! and the dedup window answers.
 //!
 //! Shards never share state — each has its own engines, counters, and (when
 //! durable) WAL directory — so the only cross-shard artifacts are the
@@ -34,17 +46,25 @@
 //!    ([`ServerConfig::queue_capacity`]); `try_send` never blocks the
 //!    reader, so a full queue sheds instead of wedging the socket.
 //!
-//! A shed reply travels through the same ordered reply path as a served
-//! one, so pipelined clients see responses in the order they asked.
-//! Nothing about shedding touches session state: a shed request can be
-//! retried verbatim once the backlog drains.
+//! A shed reply takes its place in the same reply order as a served one,
+//! so pipelined clients see responses in the order they asked. Nothing
+//! about shedding touches session state: a shed request can be retried
+//! verbatim once the backlog drains.
 //!
 //! ## Reply ordering
 //!
-//! The reader gives every admitted (or shed) request a one-shot channel
-//! and queues the receiving half to the writer in arrival order; the
-//! writer blocks on the *oldest* outstanding reply. Pipelining costs the
-//! client nothing and replies can never reorder.
+//! The reader numbers every request it answers or enqueues, in arrival
+//! order. Each connection keeps a small reorder buffer from the oldest
+//! unanswered number on: a reply lands in its slot — from a shard thread,
+//! or from the reader itself for a shed or a bad request — and the answered
+//! prefix is framed into the connection's output buffer. A connection
+//! pipelining across shards therefore still gets its replies in request
+//! order, and pipelining costs the client nothing.
+//!
+//! The connection's state is reference-counted by its reader and by every
+//! job in flight; the last one to let go writes what is left and shuts the
+//! socket, so a client that half-closes still reads every admitted reply
+//! before EOF.
 //!
 //! ## The metrics endpoint
 //!
@@ -56,7 +76,8 @@
 //! service counters are the field-wise sum over every shard's sink
 //! ([`CountersSnapshot::sum`]), so the quiescent identity
 //! (`requests == opens + alerts + closes + errors`) holds cluster-wide on
-//! the one page a probe scrapes.
+//! the one page a probe scrapes. `/healthz` answers `200 ok` while every
+//! shard's service thread runs, and `503` naming the dead shards otherwise.
 
 use crate::codec::{
     decode_request, encode_reply, read_frame, write_frame, NetError, Reply, WireError, MAGIC,
@@ -68,14 +89,23 @@ use sag_cluster::{ClusterService, ShardRouter};
 use sag_service::{
     AuditService, CountersSnapshot, Handled, Request, Response, ServiceCounters, TenantId,
 };
-use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::collections::{HashMap, VecDeque};
+use std::io::{BufReader, Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, Weak};
 use std::thread::{self, JoinHandle};
-use std::time::Duration;
+use std::time::{Duration, Instant};
+
+/// How long writing one connection's replies may block before the server
+/// gives up on the peer, shuts the connection down, and drops its later
+/// replies.
+pub const WRITE_DEADLINE: Duration = Duration::from_secs(1);
+
+/// The most jobs a service thread takes off its queue before writing the
+/// replies out.
+const BATCH: usize = 64;
 
 /// Tuning knobs for [`Server::start`].
 #[derive(Debug, Clone)]
@@ -102,17 +132,189 @@ impl Default for ServerConfig {
     }
 }
 
-/// One unit of work for the service thread.
+/// One unit of work for a service thread.
 struct Job {
     /// The idempotency envelope: the client-assigned request id…
     request_id: u64,
     /// …and the tenant it is scoped to.
     tenant: TenantId,
     request: Request,
-    /// One-shot reply path back to the connection's writer thread.
-    reply: Sender<Bytes>,
+    /// Where the encoded reply goes: the connection and the request's place
+    /// in its reply order.
+    reply: ReplySlot,
     /// The admission gauge charged for this request, released when served.
     gauge: Option<Arc<TenantGauge>>,
+}
+
+/// The reply side of one protocol connection, shared by its reader and by
+/// every job in flight for it.
+struct Conn {
+    /// The socket's write half.
+    stream: TcpStream,
+    out: Mutex<Outbox>,
+    net: Arc<NetMetrics>,
+}
+
+/// A connection's replies on their way out.
+#[derive(Default)]
+struct Outbox {
+    /// Sequence number of `pending[0]`; every earlier reply is framed.
+    base: u64,
+    /// Replies from `base` on, in request order: `None` until answered, an
+    /// empty payload for a job that was dropped unanswered.
+    pending: VecDeque<Option<Bytes>>,
+    /// Framed replies not yet written.
+    buf: Vec<u8>,
+    /// A thread is writing; it also writes whatever is framed meanwhile.
+    writing: bool,
+    /// A write failed or missed [`WRITE_DEADLINE`]: the socket is shut
+    /// down and replies are dropped.
+    dead: bool,
+}
+
+impl Conn {
+    /// Lock the outbox. Nothing that can panic runs under this lock, and
+    /// it is taken in `Drop`, so a poisoned lock is recovered, not raised.
+    fn outbox(&self) -> MutexGuard<'_, Outbox> {
+        self.out.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Put the reply to request `seq` in its slot and frame the answered
+    /// prefix into the output buffer (written by [`Conn::flush`]).
+    fn complete(&self, seq: u64, reply: Bytes) {
+        let mut guard = self.outbox();
+        let out = &mut *guard;
+        if out.dead {
+            return;
+        }
+        let at = (seq - out.base) as usize;
+        if at >= out.pending.len() {
+            out.pending.resize(at + 1, None);
+        }
+        out.pending[at] = Some(reply);
+        while let Some(Some(reply)) = out.pending.front() {
+            if !reply.is_empty() {
+                // Writing into a `Vec` cannot fail.
+                let _ = write_frame(&mut out.buf, reply);
+                // Count before the write makes the frame visible to the
+                // peer, so a client that scrapes metrics right after its
+                // last reply never reads a counter lagging behind it.
+                self.net.frames_out.fetch_add(1, Ordering::Relaxed);
+            }
+            out.pending.pop_front();
+            out.base += 1;
+        }
+    }
+
+    /// Write out everything framed so far, unless another thread is
+    /// already writing (it picks the new bytes up before it stops). A
+    /// failed or late write kills the connection.
+    fn flush(&self) {
+        let mut out = self.outbox();
+        if out.writing {
+            return;
+        }
+        out.writing = true;
+        while !out.buf.is_empty() && !out.dead {
+            let mut bytes = std::mem::take(&mut out.buf);
+            drop(out);
+            let written = write_within_deadline(&self.stream, &bytes);
+            out = self.outbox();
+            if written.is_err() {
+                out.dead = true;
+                out.pending.clear();
+                out.buf = Vec::new();
+                let _ = self.stream.shutdown(Shutdown::Both);
+            } else if out.buf.is_empty() {
+                // Keep the allocation for the next batch.
+                bytes.clear();
+                out.buf = bytes;
+            }
+        }
+        out.writing = false;
+    }
+}
+
+impl Drop for Conn {
+    /// The last holder writes what is left and closes the socket.
+    fn drop(&mut self) {
+        self.flush();
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// `write_all` under [`WRITE_DEADLINE`]: the socket's send timeout bounds
+/// one blocked write, the clock bounds a peer that drains just enough to
+/// keep partial writes trickling.
+fn write_within_deadline(mut stream: &TcpStream, mut bytes: &[u8]) -> std::io::Result<()> {
+    let start = Instant::now();
+    while !bytes.is_empty() {
+        match stream.write(bytes) {
+            Ok(0) => return Err(std::io::ErrorKind::WriteZero.into()),
+            Ok(n) => bytes = &bytes[n..],
+            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+        if !bytes.is_empty() && start.elapsed() >= WRITE_DEADLINE {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+    }
+    Ok(())
+}
+
+/// A request's place in its connection's reply order. Dropping it
+/// unanswered — its shard died with the job queued — leaves an empty reply,
+/// so the connection's later replies still flow.
+struct ReplySlot {
+    conn: Arc<Conn>,
+    seq: u64,
+    answered: bool,
+}
+
+impl ReplySlot {
+    fn answer(mut self, reply: Bytes) {
+        self.conn.complete(self.seq, reply);
+        self.answered = true;
+    }
+}
+
+impl Drop for ReplySlot {
+    fn drop(&mut self) {
+        if !self.answered {
+            self.conn.complete(self.seq, Bytes::new());
+            self.conn.flush();
+        }
+    }
+}
+
+/// Clears a shard's liveness flag when its service thread ends, whether it
+/// returns or unwinds.
+struct AliveGuard<'a>(&'a AtomicBool);
+
+impl Drop for AliveGuard<'_> {
+    fn drop(&mut self) {
+        self.0.store(false, Ordering::SeqCst);
+    }
+}
+
+/// The `/healthz` answer as `(status, body)`: `200 ok` while every shard's
+/// service thread runs or the server is shutting down, otherwise `503`
+/// naming the dead shards.
+fn health(alive: &[AtomicBool], shutting_down: bool) -> (&'static str, String) {
+    let dead: Vec<String> = alive
+        .iter()
+        .enumerate()
+        .filter(|(_, alive)| !alive.load(Ordering::SeqCst))
+        .map(|(shard, _)| shard.to_string())
+        .collect();
+    if dead.is_empty() || shutting_down {
+        ("200 OK", "ok\n".to_owned())
+    } else {
+        (
+            "503 Service Unavailable",
+            format!("dead shards: {}\n", dead.join(" ")),
+        )
+    }
 }
 
 /// State shared by every thread of one server.
@@ -123,6 +325,8 @@ struct Shared {
     router: ShardRouter,
     /// One counter sink per shard; the metrics page serves their sum.
     counters: Vec<Arc<ServiceCounters>>,
+    /// One liveness flag per shard, cleared when its service thread ends.
+    alive: Vec<AtomicBool>,
     /// Open session (cluster id) → the tenant gauge its requests are
     /// charged to. Written only by the owning shard's service thread
     /// (insert on `DayOpened`, remove on `DayClosed`); read by connection
@@ -130,9 +334,9 @@ struct Shared {
     /// across shards, so one map serves all of them.
     session_gauges: Mutex<HashMap<u64, Arc<TenantGauge>>>,
     shutdown: AtomicBool,
-    /// Clones of every live protocol socket, so shutdown can unblock the
-    /// reader threads parked in `read_frame`.
-    conns: Mutex<Vec<TcpStream>>,
+    /// Every live protocol connection, so shutdown can unblock the reader
+    /// threads parked in `read_frame`.
+    conns: Mutex<Vec<Weak<Conn>>>,
 }
 
 impl Shared {
@@ -175,7 +379,7 @@ impl Server {
     }
 
     /// Bind `addr` and serve a whole [`ClusterService`] behind one
-    /// listener: one reader/writer pair per connection as usual, plus one
+    /// listener: one reader thread per connection as usual, plus one
     /// service thread *per shard*, each consuming its own bounded queue.
     /// Readers route every request to its owning shard with the cluster's
     /// [`ShardRouter`]; `/metrics` and `/healthz` aggregate across shards.
@@ -219,6 +423,7 @@ impl Server {
             net: Arc::new(NetMetrics::new()),
             router,
             counters,
+            alive: shards.iter().map(|_| AtomicBool::new(true)).collect(),
             session_gauges: Mutex::new(HashMap::new()),
             shutdown: AtomicBool::new(false),
             conns: Mutex::new(Vec::new()),
@@ -336,7 +541,7 @@ impl Server {
         self.shared.net.render(&self.shared.snapshot())
     }
 
-    /// Stop accepting, unblock and drain every connection, serve what was
+    /// Stop accepting, unblock every connection's reader, serve what was
     /// already admitted, and join all threads. Idempotent.
     pub fn shutdown(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
@@ -345,16 +550,16 @@ impl Server {
         if let Some(handle) = self.acceptor.take() {
             let _ = handle.join();
         }
-        // Unblock reader threads parked on their sockets; admitted jobs
-        // still get served and written back before the writers exit.
-        for stream in self
+        // Unblock reader threads parked on their sockets.
+        for conn in self
             .shared
             .conns
             .lock()
             .expect("connection registry poisoned")
             .iter()
+            .filter_map(Weak::upgrade)
         {
-            let _ = stream.shutdown(Shutdown::Both);
+            let _ = conn.stream.shutdown(Shutdown::Both);
         }
         let handles: Vec<_> = std::mem::take(
             &mut *self
@@ -385,6 +590,10 @@ impl Drop for Server {
 /// back ([`ShardRouter::to_cluster`]) before anything touches the gauge
 /// maps or the wire — so every id a client or a reader ever sees is a
 /// cluster id. At one shard both translations are the identity.
+///
+/// Jobs are served in batches: block for one, take up to [`BATCH`] in all
+/// of what is already queued, answer each into its connection, then write
+/// every connection the batch touched once.
 fn service_loop(
     mut service: AuditService,
     shard_index: usize,
@@ -392,81 +601,96 @@ fn service_loop(
     shared: &Shared,
     delay: Option<Duration>,
 ) {
+    let _alive = AliveGuard(&shared.alive[shard_index]);
     let router = shared.router;
-    for job in jobs {
-        shared.net.queue_depth.fetch_sub(1, Ordering::Relaxed);
-        if let Some(delay) = delay {
-            thread::sleep(delay);
-        }
-        let request = router.to_local(job.request);
-        let reply: Reply = match service.handle_tagged(&job.tenant, job.request_id, request) {
-            Handled::Applied(result) => {
-                let result = result
-                    .map(|response| router.to_cluster(response, shard_index))
-                    .map_err(|e| router.to_cluster_error(e, shard_index));
-                match &result {
-                    Ok(Response::DayOpened { session, tenant }) => {
-                        let gauge = job
-                            .gauge
-                            .clone()
-                            .unwrap_or_else(|| shared.net.tenant_gauge(tenant));
+    let mut batch = Vec::with_capacity(BATCH);
+    let mut touched: Vec<Arc<Conn>> = Vec::new();
+    while let Ok(first) = jobs.recv() {
+        batch.push(first);
+        batch.extend(std::iter::from_fn(|| jobs.try_recv().ok()).take(BATCH - 1));
+        shared
+            .net
+            .queue_depth
+            .fetch_sub(batch.len(), Ordering::Relaxed);
+        for job in batch.drain(..) {
+            if let Some(delay) = delay {
+                thread::sleep(delay);
+            }
+            let request = router.to_local(job.request);
+            let reply: Reply = match service.handle_tagged(&job.tenant, job.request_id, request) {
+                Handled::Applied(result) => {
+                    let result = result
+                        .map(|response| router.to_cluster(response, shard_index))
+                        .map_err(|e| router.to_cluster_error(e, shard_index));
+                    match &result {
+                        Ok(Response::DayOpened { session, tenant }) => {
+                            let gauge = job
+                                .gauge
+                                .clone()
+                                .unwrap_or_else(|| shared.net.tenant_gauge(tenant));
+                            shared
+                                .session_gauges
+                                .lock()
+                                .expect("session gauge map poisoned")
+                                .insert(session.raw(), gauge);
+                        }
+                        Ok(Response::Decision { outcome, .. }) => {
+                            if let Some(gauge) = &job.gauge {
+                                gauge.record_decision(outcome.ossp_utility);
+                            }
+                        }
+                        Ok(Response::DayClosed { session, .. }) => {
+                            shared
+                                .session_gauges
+                                .lock()
+                                .expect("session gauge map poisoned")
+                                .remove(&session.raw());
+                        }
+                        Err(_) => {}
+                    }
+                    result.map_err(|e| WireError::from(&e))
+                }
+                Handled::Replayed(response) => {
+                    let response = router.to_cluster(response, shard_index);
+                    // Nothing was re-applied, so no per-tenant decision
+                    // stats — but a replayed DayOpened must (re-)register
+                    // the session's gauge: after a crash+recover the map
+                    // starts empty, and the session is live again.
+                    if let Response::DayOpened { session, tenant } = &response {
+                        let gauge = shared.net.tenant_gauge(tenant);
                         shared
                             .session_gauges
                             .lock()
                             .expect("session gauge map poisoned")
                             .insert(session.raw(), gauge);
                     }
-                    Ok(Response::Decision { outcome, .. }) => {
-                        if let Some(gauge) = &job.gauge {
-                            gauge.record_decision(outcome.ossp_utility);
-                        }
-                    }
-                    Ok(Response::DayClosed { session, .. }) => {
-                        shared
-                            .session_gauges
-                            .lock()
-                            .expect("session gauge map poisoned")
-                            .remove(&session.raw());
-                    }
-                    Err(_) => {}
+                    Ok(response)
                 }
-                result.map_err(|e| WireError::from(&e))
+                Handled::Stale {
+                    request_id,
+                    last_applied,
+                } => Err(WireError::Stale {
+                    request_id,
+                    last_applied,
+                }),
+            };
+            if let Some(gauge) = &job.gauge {
+                gauge.release();
             }
-            Handled::Replayed(response) => {
-                let response = router.to_cluster(response, shard_index);
-                // Nothing was re-applied, so no per-tenant decision stats —
-                // but a replayed DayOpened must (re-)register the session's
-                // gauge: after a crash+recover the map starts empty, and the
-                // session is live again.
-                if let Response::DayOpened { session, tenant } = &response {
-                    let gauge = shared.net.tenant_gauge(tenant);
-                    shared
-                        .session_gauges
-                        .lock()
-                        .expect("session gauge map poisoned")
-                        .insert(session.raw(), gauge);
-                }
-                Ok(response)
+            if !touched.iter().any(|c| Arc::ptr_eq(c, &job.reply.conn)) {
+                touched.push(job.reply.conn.clone());
             }
-            Handled::Stale {
-                request_id,
-                last_applied,
-            } => Err(WireError::Stale {
-                request_id,
-                last_applied,
-            }),
-        };
-        if let Some(gauge) = &job.gauge {
-            gauge.release();
+            job.reply.answer(encode_reply(job.request_id, &reply));
         }
-        // A dead connection just drops its replies; nothing to do here.
-        let _ = job.reply.send(encode_reply(job.request_id, &reply));
+        for conn in touched.drain(..) {
+            conn.flush();
+        }
     }
 }
 
 /// Dispatch one accepted connection: protocol handshake or metrics scrape.
 fn handle_connection(
-    mut stream: TcpStream,
+    stream: TcpStream,
     shared: &Shared,
     config: &ServerConfig,
     job_txs: &[SyncSender<Job>],
@@ -474,12 +698,13 @@ fn handle_connection(
     // Replies are single buffered frames; leaving Nagle on would hold each
     // one hostage to the peer's delayed ACK (~40ms per round trip).
     let _ = stream.set_nodelay(true);
+    let mut reader = BufReader::new(stream);
     let mut first = [0u8; 4];
-    if stream.read_exact(&mut first).is_err() {
+    if reader.read_exact(&mut first).is_err() {
         return;
     }
     if &first == b"GET " {
-        serve_http(&mut stream, shared);
+        serve_http(&mut reader, shared);
         return;
     }
     if first != MAGIC.to_le_bytes() {
@@ -487,7 +712,7 @@ fn handle_connection(
         return;
     }
     let mut version = [0u8; 2];
-    if stream.read_exact(&mut version).is_err() {
+    if reader.read_exact(&mut version).is_err() {
         return;
     }
     let version = u16::from_le_bytes(version);
@@ -495,21 +720,14 @@ fn handle_connection(
         let reply: Reply = Err(WireError::BadRequest(format!(
             "unsupported protocol version {version} (server speaks {VERSION})"
         )));
-        let _ = write_frame(&mut stream, &encode_reply(0, &reply));
+        let _ = write_frame(reader.get_mut(), &encode_reply(0, &reply));
         return;
     }
     shared
         .net
         .connections_opened
         .fetch_add(1, Ordering::Relaxed);
-    if let Ok(registered) = stream.try_clone() {
-        shared
-            .conns
-            .lock()
-            .expect("connection registry poisoned")
-            .push(registered);
-    }
-    serve_protocol(stream, shared, config, job_txs);
+    serve_protocol(reader, shared, config, job_txs);
     shared
         .net
         .connections_closed
@@ -518,81 +736,63 @@ fn handle_connection(
 
 /// Serve one plaintext HTTP request (`GET ` already consumed) and close.
 ///
-/// Two paths exist: `/healthz` answers a bare 200 `ok` the moment the
-/// listener is accepting — what a readiness probe polls instead of
-/// sleeping — and everything else serves the metrics page.
-fn serve_http(stream: &mut TcpStream, shared: &Shared) {
+/// Two paths exist: `/healthz` answers whether every shard is alive
+/// ([`health`]) — what a readiness probe polls instead of sleeping — and
+/// everything else serves the metrics page.
+fn serve_http(reader: &mut BufReader<TcpStream>, shared: &Shared) {
     // Read the rest of the request line; one read is plenty for the
     // scrapers and probes we serve, and only the path matters.
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(50)));
+    let _ = reader
+        .get_ref()
+        .set_read_timeout(Some(Duration::from_millis(50)));
     let mut scratch = [0u8; 512];
-    let n = stream.read(&mut scratch).unwrap_or(0);
+    let n = reader.read(&mut scratch).unwrap_or(0);
     let line = String::from_utf8_lossy(&scratch[..n]);
     let path = line.split_whitespace().next().unwrap_or("");
-    let body = if path == "/healthz" {
-        "ok\n".to_owned()
+    let (status, body) = if path == "/healthz" {
+        health(&shared.alive, shared.shutdown.load(Ordering::SeqCst))
     } else {
         shared.net.scrapes.fetch_add(1, Ordering::Relaxed);
-        shared.net.render(&shared.snapshot())
+        ("200 OK", shared.net.render(&shared.snapshot()))
     };
     let header = format!(
-        "HTTP/1.0 200 OK\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
+        "HTTP/1.0 {status}\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n",
         body.len()
     );
+    let stream = reader.get_mut();
     let _ = stream.write_all(header.as_bytes());
     let _ = stream.write_all(body.as_bytes());
     let _ = stream.flush();
 }
 
-/// Reader half of one protocol connection (spawns its paired writer).
+/// The reader of one protocol connection: decode, admit, route, and
+/// number every request in arrival order.
 fn serve_protocol(
-    stream: TcpStream,
+    mut reader: BufReader<TcpStream>,
     shared: &Shared,
     config: &ServerConfig,
     job_txs: &[SyncSender<Job>],
 ) {
-    let Ok(write_stream) = stream.try_clone() else {
+    let Ok(stream) = reader.get_ref().try_clone() else {
         return;
     };
-    // FIFO of one-shot reply receivers: arrival order in, reply order out.
-    let (slot_tx, slot_rx) = std::sync::mpsc::channel::<Receiver<Bytes>>();
-    let writer = {
-        let net = shared.net.clone();
-        thread::Builder::new()
-            .name("sag-conn-writer".into())
-            .spawn(move || {
-                // Buffer so header + payload leave as one packet per frame.
-                let mut writer = std::io::BufWriter::new(write_stream);
-                for slot in slot_rx {
-                    let Ok(bytes) = slot.recv() else { continue };
-                    if write_frame(&mut writer, &bytes).is_err() {
-                        break;
-                    }
-                    // Count before the flush makes the frame visible to the
-                    // peer, so a client that scrapes metrics right after its
-                    // last reply never reads a counter lagging behind it.
-                    net.frames_out.fetch_add(1, Ordering::Relaxed);
-                    if writer.flush().is_err() {
-                        break;
-                    }
-                }
-                if let Ok(stream) = writer.into_inner() {
-                    let _ = stream.shutdown(Shutdown::Both);
-                }
-            })
-    };
-
-    let mut stream = stream;
-    let reply_now = |request_id: u64, reply: &Reply| {
-        let (tx, rx) = std::sync::mpsc::channel();
-        let _ = tx.send(encode_reply(request_id, reply));
-        let _ = slot_tx.send(rx);
-    };
+    let _ = stream.set_write_timeout(Some(WRITE_DEADLINE));
+    let conn = Arc::new(Conn {
+        stream,
+        out: Mutex::default(),
+        net: shared.net.clone(),
+    });
+    {
+        let mut conns = shared.conns.lock().expect("connection registry poisoned");
+        conns.retain(|c| c.strong_count() > 0);
+        conns.push(Arc::downgrade(&conn));
+    }
+    let mut next_seq = 0u64;
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
             break;
         }
-        let payload = match read_frame(&mut stream) {
+        let payload = match read_frame(&mut reader) {
             Ok(Some(payload)) => payload,
             // Clean close, socket death, or a timeout.
             Ok(None) | Err(NetError::Io(_)) | Err(NetError::Timeout { .. }) => break,
@@ -607,6 +807,13 @@ fn serve_protocol(
             }
         };
         shared.net.frames_in.fetch_add(1, Ordering::Relaxed);
+        // Every frame gets exactly one reply, in arrival order.
+        let seq = next_seq;
+        next_seq += 1;
+        let answer_now = |request_id: u64, reply: &Reply| {
+            conn.complete(seq, encode_reply(request_id, reply));
+            conn.flush();
+        };
         let (request_id, envelope_tenant, request) = match decode_request(&payload) {
             Ok(decoded) => decoded,
             Err(e) => {
@@ -614,13 +821,13 @@ fn serve_protocol(
                 // this is a genuine client bug, not line noise: answer the
                 // bad payload structurally and keep serving.
                 shared.net.decode_errors.fetch_add(1, Ordering::Relaxed);
-                reply_now(0, &Err(WireError::BadRequest(e.to_string())));
+                answer_now(0, &Err(WireError::BadRequest(e.to_string())));
                 continue;
             }
         };
         if let Request::OpenDay { tenant, .. } = &request {
             if *tenant != envelope_tenant {
-                reply_now(
+                answer_now(
                     request_id,
                     &Err(WireError::BadRequest(format!(
                         "envelope tenant {envelope_tenant} does not match OpenDay tenant {tenant}"
@@ -642,7 +849,7 @@ fn serve_protocol(
         if let Some(gauge) = &gauge {
             if let Err(pending) = gauge.try_admit(config.tenant_pending_limit) {
                 shared.net.shed.fetch_add(1, Ordering::Relaxed);
-                reply_now(
+                answer_now(
                     request_id,
                     &Err(WireError::Overloaded {
                         tenant: gauge.tenant().as_str().to_owned(),
@@ -656,20 +863,24 @@ fn serve_protocol(
         // Route to the owning shard: OpenDay by tenant hash, session
         // requests by the shard encoded in the session id itself.
         let shard = shared.router.shard_for_request(&request);
-        let (tx, rx) = std::sync::mpsc::channel();
         let job = Job {
             request_id,
             tenant: envelope_tenant,
             request,
-            reply: tx,
+            reply: ReplySlot {
+                conn: conn.clone(),
+                seq,
+                answered: false,
+            },
             gauge: gauge.clone(),
         };
+        // Count the job before the service thread can see it, so its
+        // decrement never runs first and wraps the gauge.
+        shared.net.queue_depth.fetch_add(1, Ordering::Relaxed);
         match job_txs[shard].try_send(job) {
-            Ok(()) => {
-                shared.net.queue_depth.fetch_add(1, Ordering::Relaxed);
-                let _ = slot_tx.send(rx);
-            }
-            Err(TrySendError::Full(_)) => {
+            Ok(()) => {}
+            Err(TrySendError::Full(job)) => {
+                shared.net.queue_depth.fetch_sub(1, Ordering::Relaxed);
                 if let Some(gauge) = &gauge {
                     gauge.release();
                 }
@@ -678,21 +889,47 @@ fn serve_protocol(
                     .as_ref()
                     .map_or("", |g| g.tenant().as_str())
                     .to_owned();
-                reply_now(
+                job.reply.answer(encode_reply(
                     request_id,
                     &Err(WireError::Overloaded {
                         tenant,
                         pending: config.queue_capacity as u64,
                         limit: config.queue_capacity as u64,
                     }),
-                );
+                ));
+                conn.flush();
             }
             // The server is shutting down; stop reading.
-            Err(TrySendError::Disconnected(_)) => break,
+            Err(TrySendError::Disconnected(_)) => {
+                shared.net.queue_depth.fetch_sub(1, Ordering::Relaxed);
+                break;
+            }
         }
     }
-    drop(slot_tx);
-    if let Ok(writer) = writer {
-        let _ = writer.join();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn healthz_turns_503_when_a_shard_thread_dies() {
+        let alive: Arc<[AtomicBool]> = (0..3).map(|_| AtomicBool::new(true)).collect();
+        assert_eq!(health(&alive, false), ("200 OK", "ok\n".to_owned()));
+
+        let flags = alive.clone();
+        let died = thread::spawn(move || {
+            let _alive = AliveGuard(&flags[1]);
+            panic!("shard 1's service thread panics");
+        })
+        .join();
+        assert!(died.is_err());
+        assert_eq!(
+            health(&alive, false),
+            ("503 Service Unavailable", "dead shards: 1\n".to_owned())
+        );
+        // Service threads also end when the server shuts down; that is not
+        // an outage.
+        assert_eq!(health(&alive, true).0, "200 OK");
     }
 }

@@ -454,6 +454,9 @@ fn wire_errors_are_structured_and_the_stream_survives_bad_payloads() {
         sag_net::codec::decode_reply(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
     assert_eq!(id, 7, "replies echo the request id");
     assert!(matches!(reply, Ok(Response::DayOpened { .. })), "{reply:?}");
+    let Ok(Response::DayOpened { session, .. }) = reply else {
+        unreachable!()
+    };
 
     // An OpenDay whose body names a different tenant than its envelope is
     // refused before touching the service.
@@ -475,6 +478,32 @@ fn wire_errors_are_structured_and_the_stream_survives_bad_payloads() {
     assert_eq!(id, 8);
     assert!(matches!(reply, Err(WireError::BadRequest(_))), "{reply:?}");
 
+    // An alert time past the end of the day is refused at decode (not
+    // clamped to 23:59:59), and the stream keeps serving.
+    let alert = fleet.tenants[0].test_days[0].alerts()[0];
+    let mut past_midnight =
+        encode_request(8, &tenant, &Request::PushAlert { session, alert }).to_vec();
+    // The time field sits 7 bytes from the end: secs:u32 type:u16 att:u8.
+    let at = past_midnight.len() - 7;
+    past_midnight[at..at + 4].copy_from_slice(&(sag_sim::SECONDS_PER_DAY + 5).to_le_bytes());
+    write_frame(&mut raw, &past_midnight).unwrap();
+    let (id, reply): (u64, Reply) =
+        sag_net::codec::decode_reply(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+    assert_eq!(id, 0);
+    assert!(
+        matches!(&reply, Err(WireError::BadRequest(m)) if m.contains("past the end of the day")),
+        "{reply:?}"
+    );
+    write_frame(
+        &mut raw,
+        &encode_request(8, &tenant, &Request::PushAlert { session, alert }),
+    )
+    .unwrap();
+    let (id, reply): (u64, Reply) =
+        sag_net::codec::decode_reply(&read_frame(&mut raw).unwrap().unwrap()).unwrap();
+    assert_eq!(id, 8);
+    assert!(matches!(reply, Ok(Response::Decision { .. })), "{reply:?}");
+
     // A wrong-version handshake is answered (structured) and refused.
     let mut stale = std::net::TcpStream::connect(addr).unwrap();
     stale.write_all(&sag_net::MAGIC.to_le_bytes()).unwrap();
@@ -488,4 +517,336 @@ fn wire_errors_are_structured_and_the_stream_survives_bad_payloads() {
     // Decode errors were counted.
     let page = server.render_metrics();
     assert!(parse_metric(&page, "sag_decode_errors_total").unwrap() >= 1.0);
+}
+
+/// A raw protocol connection (handshake sent), for tests that pipeline
+/// frames the way `perfbench` does instead of going through [`Client`].
+fn raw_connect(addr: std::net::SocketAddr) -> std::net::TcpStream {
+    let mut raw = std::net::TcpStream::connect(addr).unwrap();
+    raw.set_nodelay(true).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    write_handshake(&mut raw).unwrap();
+    raw
+}
+
+fn read_reply(raw: &mut std::net::TcpStream) -> (u64, Reply) {
+    sag_net::codec::decode_reply(&read_frame(raw).unwrap().unwrap()).unwrap()
+}
+
+/// Send one request on a raw connection and wait for its reply.
+fn call_raw(raw: &mut std::net::TcpStream, id: u64, tenant: &TenantId, request: &Request) -> Reply {
+    write_frame(raw, &encode_request(id, tenant, request)).unwrap();
+    let (echoed, reply) = read_reply(raw);
+    assert_eq!(echoed, id, "reply to the wrong request");
+    reply
+}
+
+#[test]
+fn pipelined_replies_keep_request_order_across_shards() {
+    // One connection pipelines requests for tenants on *both* shards of a
+    // 2-shard server: a slow FinishDay on one shard ahead of cheap pushes on
+    // the other, which finish first, plus a shed answered by the reader
+    // before either shard replies. The replies must still come back in send
+    // order.
+    let scenario = scenario();
+    let (builder, tenants) =
+        tenant_fleet_cluster_parts(scenario.as_ref(), SEED, 8, HISTORY_DAYS, TEST_DAYS, 2);
+    let router = builder.router();
+    let (on_0, on_1): (Vec<_>, Vec<_>) = tenants.iter().partition(|t| router.shard_for(&t.id) == 0);
+    let (cheap, slow) = if on_0.len() >= on_1.len() {
+        (on_0, on_1)
+    } else {
+        (on_1, on_0)
+    };
+    assert!(
+        cheap.len() >= 3 && slow.len() >= 2,
+        "placement left {} / {} tenants per shard",
+        cheap.len(),
+        slow.len()
+    );
+    let config = ServerConfig {
+        queue_capacity: 64,
+        tenant_pending_limit: 1,
+        // Every job takes at least this long, so the second pipelined
+        // request of a tenant is always shed by its quota of one.
+        handle_delay: Some(Duration::from_millis(50)),
+    };
+    let server = Server::start_cluster(builder.build().unwrap(), "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+    assert_eq!(sag_net::fetch_health(addr).unwrap(), "ok\n");
+
+    // Open one day per tenant used, one round trip at a time; the tenant
+    // that finishes its day first gets a few alerts.
+    let mut raw = raw_connect(addr);
+    let mut next_id = std::collections::HashMap::new();
+    let mut sessions = std::collections::HashMap::new();
+    for tenant in cheap[..3].iter().chain(&slow[..2]) {
+        let day = &tenant.test_days[0];
+        let reply = call_raw(
+            &mut raw,
+            1,
+            &tenant.id,
+            &Request::OpenDay {
+                tenant: tenant.id.clone(),
+                budget: scenario.budget_for_day(day.day()),
+                day: Some(day.day()),
+            },
+        );
+        let Ok(Response::DayOpened { session, .. }) = reply else {
+            panic!("OpenDay answered {reply:?}")
+        };
+        sessions.insert(tenant.id.clone(), session);
+        next_id.insert(tenant.id.clone(), 2u64);
+    }
+    let finisher = slow[1];
+    for alert in &finisher.test_days[0].alerts()[..3] {
+        let id = next_id[&finisher.id];
+        let reply = call_raw(
+            &mut raw,
+            id,
+            &finisher.id,
+            &Request::PushAlert {
+                session: sessions[&finisher.id],
+                alert: *alert,
+            },
+        );
+        assert!(matches!(reply, Ok(Response::Decision { .. })), "{reply:?}");
+        next_id.insert(finisher.id.clone(), id + 1);
+    }
+
+    // (tenant, is FinishDay), in send order.
+    let plan = [
+        (slow[0], false),
+        (finisher, true),
+        (cheap[0], false),
+        (cheap[1], false),
+        (cheap[0], false), // shed: cheap[0]'s first push is still pending
+        (cheap[2], false),
+    ];
+    let mut burst = Vec::new();
+    let mut sent = Vec::new();
+    for (k, (tenant, finish)) in plan.iter().enumerate() {
+        let session = sessions[&tenant.id];
+        let request = if *finish {
+            Request::FinishDay { session }
+        } else {
+            Request::PushAlert {
+                session,
+                alert: tenant.test_days[0].alerts()[k],
+            }
+        };
+        let id = next_id[&tenant.id];
+        next_id.insert(tenant.id.clone(), id + 1);
+        write_frame(&mut burst, &encode_request(id, &tenant.id, &request)).unwrap();
+        sent.push((tenant.id.clone(), id));
+    }
+    raw.write_all(&burst).unwrap();
+    // Half-close: the server must still answer everything it admitted
+    // before it closes the connection.
+    raw.shutdown(std::net::Shutdown::Write).unwrap();
+
+    let mut echoed = Vec::new();
+    for (k, (tenant, finish)) in plan.iter().enumerate() {
+        let (id, reply) = read_reply(&mut raw);
+        let answered = match reply {
+            Ok(Response::Decision { session, .. }) if !finish => session,
+            Ok(Response::DayClosed { session, .. }) if *finish => session,
+            Err(WireError::Overloaded { tenant: shed, .. }) if k == 4 => {
+                assert_eq!(shed, tenant.id.as_str());
+                sessions[&tenant.id]
+            }
+            other => panic!("reply {k} was {other:?}"),
+        };
+        assert_eq!(
+            answered, sessions[&tenant.id],
+            "reply {k} answered another session"
+        );
+        echoed.push((tenant.id.clone(), id));
+    }
+    assert_eq!(echoed, sent, "pipelined replies reordered");
+    assert!(
+        read_frame(&mut raw).unwrap().is_none(),
+        "no EOF after the last reply"
+    );
+    assert_eq!(
+        parse_metric(&server.render_metrics(), "sag_shed_total"),
+        Some(1.0)
+    );
+}
+
+#[test]
+fn a_peer_that_never_reads_cannot_stall_its_shard() {
+    let (fleet, _) = twin_fleets();
+    let scenario = scenario();
+    let server = Server::start(fleet.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let addr = server.local_addr();
+    let (stalled, polite) = (&fleet.tenants[0], &fleet.tenants[1]);
+
+    // Serve one whole day for the tenant that will stall.
+    let day = &stalled.test_days[0];
+    let mut client = Client::connect(addr, stalled.id.clone()).unwrap();
+    let session = client
+        .open_day(scenario.budget_for_day(day.day()), Some(day.day()))
+        .unwrap();
+    for alert in day.alerts() {
+        client.push_alert(session, alert).unwrap();
+    }
+    let closed = client.finish_day(session).unwrap();
+    let finish_id = client.next_request_id() - 1;
+    drop(client);
+
+    // Re-send the applied FinishDay over and over on a connection that
+    // never reads: each copy is answered from the dedup window with the
+    // whole day, far more than the socket buffers hold.
+    let reply_len = sag_net::codec::encode_reply(
+        finish_id,
+        &Ok(Response::DayClosed {
+            session,
+            tenant: stalled.id.clone(),
+            result: closed.clone(),
+        }),
+    )
+    .len();
+    let copies = ((64 << 20) / reply_len).clamp(64, 1000);
+    let mut flood = Vec::new();
+    for _ in 0..copies {
+        let request = Request::FinishDay { session };
+        write_frame(
+            &mut flood,
+            &encode_request(finish_id, &stalled.id, &request),
+        )
+        .unwrap();
+    }
+    let mut never_reads = raw_connect(addr);
+    never_reads.write_all(&flood).unwrap();
+    // Wait until the shard is answering the flood, so the request below
+    // queues behind it.
+    while server.counters_snapshot().dup_replayed == 0 {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
+    // Another tenant on the same (only) shard is still served, once the
+    // stalled connection's write deadline has passed at the latest.
+    let begun = std::time::Instant::now();
+    let mut other = Client::connect(addr, polite.id.clone()).unwrap();
+    let other_day = &polite.test_days[0];
+    let other_session = other
+        .open_day(
+            scenario.budget_for_day(other_day.day()),
+            Some(other_day.day()),
+        )
+        .unwrap();
+    other
+        .push_alert(other_session, &other_day.alerts()[0])
+        .unwrap();
+    let waited = begun.elapsed();
+    assert!(
+        waited < sag_net::server::WRITE_DEADLINE + Duration::from_secs(2),
+        "the shard stalled for {waited:?} behind a peer that never reads"
+    );
+
+    // The stalled connection was given up on: reading it now ends in EOF
+    // or a reset, not a timeout.
+    let mut sink = vec![0u8; 1 << 16];
+    loop {
+        match std::io::Read::read(&mut never_reads, &mut sink) {
+            Ok(0) => break,
+            Ok(_) => {}
+            Err(e) => {
+                assert!(
+                    !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                    "the stalled connection was never closed: {e}"
+                );
+                break;
+            }
+        }
+    }
+
+    // Its tenant retries on a new connection and is answered from the
+    // dedup window: the same day, applied once.
+    let mut retry = Client::connect(addr, stalled.id.clone()).unwrap();
+    match retry
+        .call_tagged(finish_id, &Request::FinishDay { session })
+        .unwrap()
+    {
+        Ok(Response::DayClosed { result, .. }) => assert_eq!(result, closed),
+        other => panic!("retried FinishDay answered {other:?}"),
+    }
+    let page = fetch_metrics(addr).unwrap();
+    let metric = |name: &str| parse_metric(&page, name).unwrap_or(-1.0);
+    assert_eq!(metric("sag_days_closed_total"), 1.0);
+    assert_eq!(metric("sag_alerts_total"), day.len() as f64 + 1.0);
+    assert!(metric("sag_dup_replayed_total") > copies as f64);
+}
+
+#[test]
+fn queue_depth_never_wraps_under_a_pipelined_flood() {
+    let (fleet, _) = twin_fleets();
+    let scenario = scenario();
+    let config = ServerConfig::default();
+    let capacity = config.queue_capacity as f64;
+    let server = Server::start(fleet.service, "127.0.0.1:0", config).unwrap();
+    let addr = server.local_addr();
+
+    let done = std::sync::atomic::AtomicBool::new(false);
+    let depths = std::thread::scope(|scope| {
+        let flooders: Vec<_> = fleet
+            .tenants
+            .iter()
+            .map(|tenant| {
+                let scenario = &scenario;
+                scope.spawn(move || {
+                    let mut client = Client::connect(addr, tenant.id.clone()).unwrap();
+                    for day in &tenant.test_days {
+                        let session = client
+                            .open_day(scenario.budget_for_day(day.day()), Some(day.day()))
+                            .unwrap();
+                        // Pipeline the whole day, then collect the replies
+                        // (served or shed, either is fine here).
+                        for alert in day.alerts() {
+                            client
+                                .send(&Request::PushAlert {
+                                    session,
+                                    alert: *alert,
+                                })
+                                .unwrap();
+                        }
+                        for _ in day.alerts() {
+                            let (_, reply) = client.recv().unwrap();
+                            assert!(
+                                matches!(
+                                    reply,
+                                    Ok(Response::Decision { .. })
+                                        | Err(WireError::Overloaded { .. })
+                                ),
+                                "{reply:?}"
+                            );
+                        }
+                        client.finish_day(session).unwrap();
+                    }
+                })
+            })
+            .collect();
+        let scraper = scope.spawn(|| {
+            let mut depths = Vec::new();
+            while !done.load(std::sync::atomic::Ordering::SeqCst) {
+                let page = fetch_metrics(addr).unwrap();
+                depths.push(parse_metric(&page, "sag_queue_depth").unwrap());
+            }
+            depths
+        });
+        for flooder in flooders {
+            flooder.join().unwrap();
+        }
+        done.store(true, std::sync::atomic::Ordering::SeqCst);
+        scraper.join().unwrap()
+    });
+    assert!(!depths.is_empty());
+    for depth in &depths {
+        assert!(*depth <= capacity, "scraped sag_queue_depth {depth}");
+    }
+    assert_eq!(server.net_metrics().queue_depth(), 0);
 }

@@ -8,10 +8,9 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use sag_bench::setup;
-use sag_core::engine::{AuditCycleEngine, EngineConfig};
 use sag_core::signaling::ossp_closed_form;
 use sag_core::sse::{SseCache, SseSolver};
-use sag_sim::{Alert, AlertTypeId, TimeOfDay};
+use sag_sim::AlertTypeId;
 use std::hint::black_box;
 
 fn per_alert_optimization(c: &mut Criterion) {
@@ -94,41 +93,6 @@ fn per_alert_optimization(c: &mut Criterion) {
                     .solve_cached(&input, &mut cache)
                     .unwrap()
                     .auditor_utility,
-            )
-        });
-    });
-
-    // Full per-alert engine path (estimates provided, like the online
-    // system), cold and warm-cached.
-    let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-    let alert = Alert::benign(0, TimeOfDay::from_hms(10, 30, 0), AlertTypeId(2));
-    group.bench_function("engine_solve_alert/7_types_cold", |b| {
-        b.iter(|| {
-            black_box(
-                engine
-                    .solve_alert(
-                        black_box(&alert),
-                        black_box(&multi_estimates),
-                        black_box(setup::MULTI_TYPE_BUDGET),
-                    )
-                    .unwrap()
-                    .2,
-            )
-        });
-    });
-    group.bench_function("engine_solve_alert/7_types_warm", |b| {
-        let mut cache = SseCache::new();
-        b.iter(|| {
-            black_box(
-                engine
-                    .solve_alert_cached(
-                        black_box(&alert),
-                        black_box(&multi_estimates),
-                        black_box(setup::MULTI_TYPE_BUDGET),
-                        &mut cache,
-                    )
-                    .unwrap()
-                    .2,
             )
         });
     });

@@ -239,11 +239,9 @@ fn durability_report(scenario: &dyn Scenario, config: &SuiteConfig) -> Durabilit
         .collect();
 
     let builder = |history: Vec<sag_sim::DayLog>| {
-        let mut engine_config = scenario.engine_config();
-        engine_config.backend = sag_core::sse::SolverBackendKind::Auto;
         AuditService::builder().workers(0).tenant_with_history(
             "durability-bench",
-            EngineBuilder::from_config(engine_config),
+            EngineBuilder::from_config(scenario.engine_config()),
             history,
         )
     };

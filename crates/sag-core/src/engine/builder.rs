@@ -6,14 +6,12 @@
 //! ([`paper_single_type`](EngineBuilder::paper_single_type),
 //! [`paper_multi_type`](EngineBuilder::paper_multi_type)), chain the knobs
 //! you want to move, and [`build`](EngineBuilder::build). Every knob is
-//! checked at build time — a typo'd decay or a backend that cannot solve
-//! the game fails here, as a structured [`crate::ConfigError`], not deep
-//! inside a replay.
+//! checked at build time — a typo'd decay or a negative ε fails here, as a
+//! structured [`crate::ConfigError`], not deep inside a replay.
 
 use super::config::{BudgetAccounting, EngineConfig};
 use super::session::AuditCycleEngine;
 use crate::model::GameConfig;
-use crate::sse::SolverBackendKind;
 use crate::Result;
 use sag_forecast::RollbackPolicy;
 use std::sync::Arc;
@@ -22,11 +20,10 @@ use std::sync::Arc;
 ///
 /// ```
 /// use sag_core::engine::EngineBuilder;
-/// use sag_core::sse::SolverBackendKind;
 ///
 /// let engine = EngineBuilder::paper_multi_type()
 ///     .forecast_decay(0.9)
-///     .backend(SolverBackendKind::SimplexLp)
+///     .signal_noise(0.05)
 ///     .build()?;
 /// assert_eq!(engine.config().forecast_decay, 0.9);
 /// # Ok::<(), sag_core::SagError>(())
@@ -56,7 +53,7 @@ pub struct EngineBuilder {
 impl EngineBuilder {
     /// Start from an explicit game with the paper's default knobs (uniform
     /// forecast pooling, expected-cost accounting, perfect signal channel,
-    /// automatic backend dispatch, pruning on).
+    /// pruning on, exact solves).
     #[must_use]
     pub fn new(game: GameConfig) -> Self {
         EngineBuilder {
@@ -116,13 +113,6 @@ impl EngineBuilder {
     #[must_use]
     pub fn signal_noise(mut self, noise: f64) -> Self {
         self.config.signal_noise = noise;
-        self
-    }
-
-    /// Which [`crate::sse::SolverBackend`] sessions solve through.
-    #[must_use]
-    pub fn backend(mut self, backend: SolverBackendKind) -> Self {
-        self.config.backend = backend;
         self
     }
 
@@ -194,7 +184,6 @@ mod tests {
             .budget(75.0)
             .forecast_decay(0.85)
             .signal_noise(0.1)
-            .backend(SolverBackendKind::SimplexLp)
             .pruning(false)
             .epsilon(0.25)
             .accounting(BudgetAccounting::Sampled { seed: 3 })
@@ -203,7 +192,6 @@ mod tests {
         assert_eq!(config.game.budget, 75.0);
         assert_eq!(config.forecast_decay, 0.85);
         assert_eq!(config.signal_noise, 0.1);
-        assert_eq!(config.backend, SolverBackendKind::SimplexLp);
         assert!(!config.pruning);
         assert_eq!(config.epsilon, 0.25);
         assert_eq!(config.accounting, BudgetAccounting::Sampled { seed: 3 });
@@ -227,15 +215,6 @@ mod tests {
             Err(SagError::InvalidConfig(
                 ConfigError::EpsilonOutOfRange { .. }
             ))
-        ));
-        assert!(matches!(
-            EngineBuilder::paper_multi_type()
-                .backend(SolverBackendKind::ClosedForm)
-                .build(),
-            Err(SagError::InvalidConfig(ConfigError::UnsupportedBackend {
-                num_types: 7,
-                ..
-            }))
         ));
     }
 

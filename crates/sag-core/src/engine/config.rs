@@ -1,8 +1,7 @@
-//! Engine configuration: the game, the forecaster knobs, budget accounting
-//! and the solver-backend selection.
+//! Engine configuration: the game, the forecaster knobs, budget accounting,
+//! the leaky-channel model and the solver's pruning and ε switches.
 
 use crate::model::GameConfig;
-use crate::sse::SolverBackendKind;
 use crate::{ConfigError, Result};
 use sag_forecast::RollbackPolicy;
 
@@ -40,11 +39,6 @@ pub struct EngineConfig {
     /// channel; positive values re-evaluate every committed scheme under
     /// the attacker's noisy Bayesian posterior. Must lie in `[0, 1]`.
     pub signal_noise: f64,
-    /// Which [`crate::sse::SolverBackend`] every [`crate::engine::DaySession`]
-    /// solves through. The default, [`SolverBackendKind::Auto`], reproduces
-    /// the paper's dispatch (closed form for single-type games, the
-    /// warm-started multiple-LP method otherwise).
-    pub backend: SolverBackendKind,
     /// Whether cached SSE solves use incremental candidate pruning (skip
     /// candidate LPs whose re-priced dual bound proves they cannot beat the
     /// incumbent winner). `true` by default. The winner and its utilities
@@ -67,7 +61,7 @@ pub struct EngineConfig {
 impl EngineConfig {
     /// The paper's configuration knobs on top of an explicit game: uniform
     /// forecast pooling, default rollback, expected-cost accounting, perfect
-    /// signal channel, automatic solver-backend dispatch.
+    /// signal channel, pruning on, exact solves.
     #[must_use]
     pub fn paper_defaults(game: GameConfig) -> Self {
         EngineConfig {
@@ -76,7 +70,6 @@ impl EngineConfig {
             accounting: BudgetAccounting::Expected,
             forecast_decay: 1.0,
             signal_noise: 0.0,
-            backend: SolverBackendKind::Auto,
             pruning: true,
             epsilon: 0.0,
         }
@@ -112,13 +105,6 @@ impl EngineConfig {
         if !(self.epsilon.is_finite() && self.epsilon >= 0.0) {
             return Err(ConfigError::EpsilonOutOfRange {
                 value: self.epsilon,
-            }
-            .into());
-        }
-        if !self.backend.supports(self.game.num_types()) {
-            return Err(ConfigError::UnsupportedBackend {
-                backend: self.backend,
-                num_types: self.game.num_types(),
             }
             .into());
         }

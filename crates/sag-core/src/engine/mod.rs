@@ -25,10 +25,11 @@
 //! reproducible), with an option to sample the signal and charge the
 //! signal-conditional cost as the paper describes.
 //!
-//! Equilibria are solved through the [`crate::sse::SolverBackend`] seam —
-//! the warm-started simplex-LP backend by default, selectable on
-//! [`EngineConfig::backend`] — so alternative solver strategies slot in
-//! without touching the per-day loop.
+//! Equilibria are solved by the engine's one [`crate::sse::SseSolver`]: the
+//! exact closed form for single-type games, the warm-started, pruned
+//! multiple-LP method otherwise. Each session keeps one
+//! [`crate::sse::SseCache`] per budget world, so the OSSP and online-SSE
+//! worlds warm-start along their own trails.
 //!
 //! ## Module layout
 //!
@@ -58,8 +59,7 @@ pub use session::{AuditCycleEngine, DaySession, OwnedDaySession, Session};
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sse::SolverBackendKind;
-    use sag_sim::{Alert, AlertLog, AlertTypeId, DayLog, StreamConfig, StreamGenerator, TimeOfDay};
+    use sag_sim::{AlertLog, DayLog, StreamConfig, StreamGenerator};
 
     fn single_type_setup(seed: u64) -> (Vec<DayLog>, DayLog) {
         let mut gen = StreamGenerator::new(StreamConfig::paper_single_type(seed));
@@ -187,20 +187,6 @@ mod tests {
     }
 
     #[test]
-    fn closed_form_backend_is_rejected_for_multi_type_games() {
-        let mut config = EngineConfig::paper_multi_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        assert!(matches!(
-            AuditCycleEngine::new(config),
-            Err(crate::SagError::InvalidConfig(_))
-        ));
-        // On the single-type game it is a valid choice.
-        let mut config = EngineConfig::paper_single_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        assert!(AuditCycleEngine::new(config).is_ok());
-    }
-
-    #[test]
     fn run_groups_matches_paper_group_count() {
         let mut gen = StreamGenerator::new(StreamConfig::paper_single_type(3));
         let days = gen.generate_days(25);
@@ -253,23 +239,19 @@ mod tests {
     #[test]
     fn streaming_session_is_bitwise_identical_to_batch_run_day() {
         let (history, test_day) = multi_type_setup(19);
-        for backend in [SolverBackendKind::Auto, SolverBackendKind::SimplexLp] {
-            let mut config = EngineConfig::paper_multi_type();
-            config.backend = backend;
-            let engine = AuditCycleEngine::new(config).unwrap();
-            let batch = untimed(replay_day(&engine, &history, &test_day));
+        let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
+        let batch = untimed(replay_day(&engine, &history, &test_day));
 
-            let mut session = engine.open_day(&history, None).unwrap();
-            for alert in test_day.alerts() {
-                let outcome = session.push_alert(alert).unwrap();
-                assert_eq!(outcome.index, session.alerts_processed() - 1);
-                assert_eq!(outcome.budget_after_ossp, session.remaining_budget_ossp());
-            }
-            let streamed = untimed(session.finish());
-            // The day index is inferred from the pushed alerts.
-            assert_eq!(streamed.day, test_day.day());
-            assert_eq!(batch, streamed, "backend {backend:?}");
+        let mut session = engine.open_day(&history, None).unwrap();
+        for alert in test_day.alerts() {
+            let outcome = session.push_alert(alert).unwrap();
+            assert_eq!(outcome.index, session.alerts_processed() - 1);
+            assert_eq!(outcome.budget_after_ossp, session.remaining_budget_ossp());
         }
+        let streamed = untimed(session.finish());
+        // The day index is inferred from the pushed alerts.
+        assert_eq!(streamed.day, test_day.day());
+        assert_eq!(batch, streamed);
     }
 
     #[test]
@@ -305,34 +287,16 @@ mod tests {
     }
 
     #[test]
-    fn solver_backends_agree_on_the_equilibrium_trajectory() {
-        let (history, test_day) = multi_type_setup(31);
-        let run = |backend| {
-            let mut config = EngineConfig::paper_multi_type();
-            config.backend = backend;
-            replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day)
-        };
-        let auto = run(SolverBackendKind::Auto);
-        let lp = run(SolverBackendKind::SimplexLp);
-        // On a multi-type game Auto *is* the LP backend: bitwise agreement.
-        assert_eq!(untimed(auto), untimed(lp));
-    }
-
-    #[test]
     fn closed_form_backend_streams_single_type_days() {
         let (history, test_day) = single_type_setup(37);
-        let auto = replay_day(
+        let closed = replay_day(
             &AuditCycleEngine::new(EngineConfig::paper_single_type()).unwrap(),
             &history,
             &test_day,
         );
-        let mut config = EngineConfig::paper_single_type();
-        config.backend = SolverBackendKind::ClosedForm;
-        let closed = replay_day(&AuditCycleEngine::new(config).unwrap(), &history, &test_day);
-        // Auto dispatches single-type games to the same closed form.
+        // Single-type games are answered by the closed form: no LP at all.
         assert_eq!(closed.sse_totals.lp_solves, 0);
         assert_eq!(closed.sse_totals.fast_path_solves as usize, closed.len());
-        assert_eq!(untimed(auto), untimed(closed));
     }
 
     #[test]
@@ -539,16 +503,5 @@ mod tests {
             .iter()
             .skip(1)
             .any(|o| o.sse_stats.warm_hits > 0));
-    }
-
-    #[test]
-    fn solve_alert_exposes_per_alert_pipeline() {
-        let engine = AuditCycleEngine::new(EngineConfig::paper_multi_type()).unwrap();
-        let alert = Alert::benign(0, TimeOfDay::from_hms(10, 0, 0), AlertTypeId(2));
-        let estimates = vec![100.0, 20.0, 80.0, 8.0, 15.0, 10.0, 25.0];
-        let (sse, scheme, utility) = engine.solve_alert(&alert, &estimates, 50.0).unwrap();
-        assert_eq!(sse.coverage.len(), 7);
-        assert!(scheme.is_valid());
-        assert!(utility <= 1e-9, "OSSP utility is never positive: {utility}");
     }
 }

@@ -8,7 +8,7 @@
 //! batch driver: `engine.open_day(history, None)?.drive(day)`.
 
 use super::outcome::CycleResult;
-use super::session::{AuditCycleEngine, Session, SessionBackends};
+use super::session::{AuditCycleEngine, Session, SessionCaches};
 use crate::{ConfigError, Result};
 use sag_sim::DayLog;
 
@@ -82,14 +82,14 @@ pub fn recommended_shards(num_jobs: usize) -> usize {
 
 impl AuditCycleEngine {
     /// Replay a batch of day jobs partitioned into `shards` contiguous
-    /// shards. Each shard owns its own solver backends (simplex workspaces
+    /// shards. Each shard owns its own warm-start caches (simplex workspaces
     /// and cached candidate LPs), streams its jobs' days sequentially, and —
     /// with the `parallel` feature, on a multi-core host — runs as a task
     /// on the engine's persistent [`sag_pool::WorkerPool`] (spawned once at
     /// engine construction, never per call).
     ///
     /// Every day's session starts from a cold warm-start state (see
-    /// [`crate::sse::SolverBackend::reset_warm_state`]), which makes each
+    /// [`crate::sse::SseCache::reset_warm_state`]), which makes each
     /// [`CycleResult`] a pure function of its job: the output is **bitwise
     /// identical** for every shard count, with or without the `parallel`
     /// feature. Sharding therefore only changes wall-clock time, never
@@ -125,9 +125,9 @@ impl AuditCycleEngine {
                     .zip(results.chunks_mut(chunk_size))
                     .map(|(job_chunk, result_chunk)| {
                         Box::new(move || {
-                            let mut backends = None;
+                            let mut caches = SessionCaches::default();
                             for (job, out) in job_chunk.iter().zip(result_chunk.iter_mut()) {
-                                *out = Some(self.stream_job(job, &mut backends));
+                                *out = Some(self.stream_job(job, &mut caches));
                             }
                         }) as sag_pool::Task<'_>
                     })
@@ -142,28 +142,22 @@ impl AuditCycleEngine {
 
         let mut results = Vec::with_capacity(jobs.len());
         for job_chunk in jobs.chunks(chunk_size) {
-            let mut backends = None;
+            let mut caches = SessionCaches::default();
             for job in job_chunk {
-                results.push(self.stream_job(job, &mut backends)?);
+                results.push(self.stream_job(job, &mut caches)?);
             }
         }
         Ok(results)
     }
 
     /// Stream one job's test day through a [`super::DaySession`], reusing
-    /// the shard's backend pair (`None` on first use allocates a fresh
-    /// pair; the session resets its warm-start state either way).
-    fn stream_job(
-        &self,
-        job: &ReplayJob<'_>,
-        pool: &mut Option<SessionBackends>,
-    ) -> Result<CycleResult> {
-        let backends = pool
-            .take()
-            .unwrap_or_else(|| SessionBackends::for_engine(self));
-        let (result, backends) = Session::open_with(self, job.history, job.budget, backends)?
-            .drive_with_backends(job.test_day)?;
-        *pool = Some(backends);
+    /// the shard's cache pair (the session resets its warm-start state on
+    /// open).
+    fn stream_job(&self, job: &ReplayJob<'_>, caches: &mut SessionCaches) -> Result<CycleResult> {
+        let (result, used) =
+            Session::open_with(self, job.history, job.budget, std::mem::take(caches))?
+                .drive_with_caches(job.test_day)?;
+        *caches = used;
         Ok(result)
     }
 }

@@ -29,9 +29,8 @@ use super::outcome::{AlertOutcome, CycleResult};
 use crate::offline::OfflineSse;
 use crate::scheme::SignalingScheme;
 use crate::signaling::{evaluate_scheme_under_noise, ossp_closed_form};
-use crate::sse::{
-    BackendOptions, SolverBackend, SseCache, SseCacheTotals, SseInput, SseSolution, SseSolver,
-};
+use crate::sse::solver::PARALLEL_MIN_TYPES;
+use crate::sse::{SseCache, SseCacheTotals, SseInput, SseSolution, SseSolver};
 use crate::Result;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -42,8 +41,8 @@ use std::borrow::Borrow;
 use std::sync::{Arc, OnceLock};
 use std::time::Instant;
 
-/// The audit-cycle engine: a validated configuration, the solver used by
-/// the low-level per-alert entry points, and (with the `parallel` feature,
+/// The audit-cycle engine: a validated configuration, the solver every
+/// session solves through, and (with the `parallel` feature,
 /// on multi-core hosts) a persistent worker pool spawned **once** — lazily,
 /// the first time a sharded replay or a many-type candidate fan-out asks
 /// for it — and shared by the engine and all its clones, replacing the
@@ -59,30 +58,18 @@ pub struct AuditCycleEngine {
     pool: Arc<OnceLock<Option<Arc<WorkerPool>>>>,
 }
 
-/// The two solver backends of one day session: the OSSP world and the
+/// The warm-start caches of one day session: the OSSP world and the
 /// online-SSE world consume budget differently, so each keeps its own
 /// warm-start trail. Reused across the days of a replay shard so the
 /// steady state stays allocation-free.
-#[derive(Debug)]
-pub(super) struct SessionBackends {
-    pub(super) ossp: Box<dyn SolverBackend>,
-    pub(super) online: Box<dyn SolverBackend>,
-}
-
-impl SessionBackends {
-    /// Instantiate both worlds' backends from the engine's configured kind,
-    /// pruning mode and (shared) worker pool.
-    pub(super) fn for_engine(engine: &AuditCycleEngine) -> Self {
-        let options = engine.backend_options();
-        SessionBackends {
-            ossp: engine.config.backend.instantiate_with(&options),
-            online: engine.config.backend.instantiate_with(&options),
-        }
-    }
+#[derive(Debug, Default)]
+pub(super) struct SessionCaches {
+    ossp: SseCache,
+    online: SseCache,
 }
 
 /// One audit cycle in progress: per-day forecaster state, both worlds'
-/// remaining budgets and solver backends, and the outcomes recorded so far.
+/// remaining budgets and warm-start caches, and the outcomes recorded so far.
 ///
 /// Generic over how the engine is held: `E` is any
 /// [`Borrow<AuditCycleEngine>`] — a plain reference ([`DaySession`]), an
@@ -103,10 +90,10 @@ pub struct Session<E: Borrow<AuditCycleEngine>> {
     budget_ossp: f64,
     budget_online: f64,
     outcomes: Vec<AlertOutcome>,
-    backends: SessionBackends,
+    caches: SessionCaches,
     totals_at_open: SseCacheTotals,
-    /// OSSP backend's cumulative certified ε loss when the session opened,
-    /// so `finish` can attribute exactly this day's loss (the backend is
+    /// OSSP cache's cumulative certified ε loss when the session opened,
+    /// so `finish` can attribute exactly this day's loss (the cache is
     /// reused across the days of a replay shard, like the totals).
     eps_loss_at_open: f64,
     /// Reusable per-alert estimate buffer (one forecast vector per push).
@@ -133,8 +120,7 @@ impl AuditCycleEngine {
     /// # Errors
     ///
     /// Returns [`crate::SagError::InvalidConfig`] for inconsistent
-    /// configurations (including a solver backend that does not support the
-    /// game's type count).
+    /// configurations.
     pub fn new(config: EngineConfig) -> Result<Self> {
         config.validate()?;
         let solver = SseSolver::with_options(config.pruning, config.epsilon);
@@ -166,19 +152,14 @@ impl AuditCycleEngine {
         self.pool.get_or_init(Self::spawn_pool).as_ref()
     }
 
-    /// The backend options this engine instantiates session backends with.
-    /// The pool is only handed out (and hence only spawned) when the game
-    /// has enough types for the candidate fan-out to ever run.
-    fn backend_options(&self) -> BackendOptions {
-        let wants_fan_out = self.config.game.num_types() >= crate::sse::solver::PARALLEL_MIN_TYPES;
-        BackendOptions {
-            pruning: self.config.pruning,
-            epsilon: self.config.epsilon,
-            pool: if wants_fan_out {
-                self.pool().cloned()
-            } else {
-                None
-            },
+    /// The pool the candidate fan-out runs on. Only handed out (and hence
+    /// only spawned) when the game has enough types for the fan-out to ever
+    /// run.
+    fn fan_out_pool(&self) -> Option<&WorkerPool> {
+        if self.config.game.num_types() >= PARALLEL_MIN_TYPES {
+            self.pool().map(Arc::as_ref)
+        } else {
+            None
         }
     }
 
@@ -220,63 +201,23 @@ impl AuditCycleEngine {
         Session::open(Arc::clone(self), history, budget)
     }
 
-    /// Process a single alert against explicit estimates and budget — the
-    /// low-level entry point used by benchmarks and the runtime experiment.
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSE solver errors.
-    pub fn solve_alert(
+    /// Solve one world's online SSE for the given forecast and remaining
+    /// budget, warm-started from (and recording into) that world's `cache`.
+    fn solve_sse(
         &self,
-        alert: &Alert,
         estimates: &[f64],
-        remaining_budget: f64,
-    ) -> Result<(SseSolution, SignalingScheme, f64)> {
-        let sse = self
-            .solver
-            .solve(&self.sse_input(estimates, remaining_budget))?;
-        Ok(self.apply_ossp(alert, sse))
-    }
-
-    /// Like [`solve_alert`](Self::solve_alert) but warm-started from `cache`
-    /// — the per-alert hot path for callers that manage their own solver
-    /// state instead of a [`DaySession`].
-    ///
-    /// # Errors
-    ///
-    /// Propagates SSE solver errors.
-    pub fn solve_alert_cached(
-        &self,
-        alert: &Alert,
-        estimates: &[f64],
-        remaining_budget: f64,
+        budget: f64,
         cache: &mut SseCache,
-    ) -> Result<(SseSolution, SignalingScheme, f64)> {
-        let sse = self
-            .solver
-            .solve_cached(&self.sse_input(estimates, remaining_budget), cache)?;
-        Ok(self.apply_ossp(alert, sse))
-    }
-
-    /// Borrow the game data as an [`SseInput`] for the given forecast and
-    /// remaining budget.
-    fn sse_input<'a>(&'a self, estimates: &'a [f64], budget: f64) -> SseInput<'a> {
+    ) -> Result<SseSolution> {
         let game = &self.config.game;
-        SseInput {
+        let input = SseInput {
             payoffs: &game.payoffs,
             audit_costs: &game.audit_costs,
             future_estimates: estimates,
             budget,
-        }
-    }
-
-    /// The OSSP tail of the per-alert pipeline: derive the triggered type's
-    /// coverage from the SSE and compute its optimal signaling scheme.
-    fn apply_ossp(&self, alert: &Alert, sse: SseSolution) -> (SseSolution, SignalingScheme, f64) {
-        let payoffs = self.config.game.payoffs.get(alert.type_id);
-        let theta = sse.coverage_of(alert.type_id);
-        let ossp = ossp_closed_form(payoffs, theta);
-        (sse, ossp.scheme, ossp.auditor_utility)
+        };
+        self.solver
+            .solve_cached_with(&input, cache, self.fan_out_pool())
     }
 }
 
@@ -294,22 +235,21 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// negative budget override, and propagates offline-solver errors (which
     /// do not occur for valid configurations).
     pub fn open(engine: E, history: &[DayLog], budget: Option<f64>) -> Result<Self> {
-        let backends = SessionBackends::for_engine(engine.borrow());
-        Self::open_with(engine, history, budget, backends)
+        Self::open_with(engine, history, budget, SessionCaches::default())
     }
 
-    /// [`open`](Self::open) over caller-provided backends (replay shards
-    /// reuse one pair across their days). The backends' warm-start
-    /// state is reset on entry: day boundaries start cold, which keeps every
-    /// session a pure function of its own inputs.
+    /// [`open`](Self::open) over caller-provided caches (replay shards
+    /// reuse one pair across their days). The caches' warm-start state is
+    /// reset on entry: day boundaries start cold, which keeps every session
+    /// a pure function of its own inputs.
     pub(super) fn open_with(
         engine: E,
         history: &[DayLog],
         budget: Option<f64>,
-        mut backends: SessionBackends,
+        mut caches: SessionCaches,
     ) -> Result<Self> {
-        backends.ossp.reset_warm_state();
-        backends.online.reset_warm_state();
+        caches.ossp.reset_warm_state();
+        caches.online.reset_warm_state();
 
         if let Some(budget) = budget {
             super::replay::validate_budget(budget)?;
@@ -332,8 +272,8 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             BudgetAccounting::Expected => None,
         };
 
-        let totals_at_open = backends.ossp.totals();
-        let eps_loss_at_open = backends.ossp.certified_eps_loss();
+        let totals_at_open = caches.ossp.totals;
+        let eps_loss_at_open = caches.ossp.certified_eps_loss();
         Ok(Session {
             engine,
             estimator,
@@ -342,7 +282,7 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             budget_ossp: cycle_budget,
             budget_online: cycle_budget,
             outcomes: Vec::new(),
-            backends,
+            caches,
             totals_at_open,
             eps_loss_at_open,
             estimates: Vec::new(),
@@ -411,10 +351,8 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
 
         // ---- OSSP world -------------------------------------------------
         let started = Instant::now();
-        let sse_ossp = self
-            .backends
-            .ossp
-            .solve(&engine.sse_input(&self.estimates, self.budget_ossp))?;
+        let sse_ossp =
+            engine.solve_sse(&self.estimates, self.budget_ossp, &mut self.caches.ossp)?;
         let type_payoffs = game.payoffs.get(alert.type_id);
         let coverage_ossp = sse_ossp.coverage_of(alert.type_id);
         let ossp_applied = alert.type_id == sse_ossp.best_response;
@@ -450,16 +388,12 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
         // ---- online-SSE world -------------------------------------------
         // While the two worlds' budgets agree (the start of a day) the OSSP
         // solve answers both; once they diverge the online world solves on
-        // its own backend. Either way no solution is cloned — the online
+        // its own cache. Either way no solution is cloned — the online
         // outcome fields are scalars read through a borrow.
         let sse_online_owned = if (self.budget_online - self.budget_ossp).abs() < 1e-12 {
             None
         } else {
-            Some(
-                self.backends
-                    .online
-                    .solve(&engine.sse_input(&self.estimates, self.budget_online))?,
-            )
+            Some(engine.solve_sse(&self.estimates, self.budget_online, &mut self.caches.online)?)
         };
         let sse_online = sse_online_owned.as_ref().unwrap_or(&sse_ossp);
         let coverage_online = sse_online.coverage_of(alert.type_id);
@@ -502,12 +436,12 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             solve_micros,
             sse_stats: sse_ossp.stats,
         };
-        // Hand the solution buffers back to their backends for reuse — the
+        // Hand the solution buffers back to their caches for reuse — the
         // last steady-state allocations of the per-alert path.
         if let Some(online) = sse_online_owned {
-            self.backends.online.recycle(online);
+            self.caches.online.recycle(online);
         }
-        self.backends.ossp.recycle(sse_ossp);
+        self.caches.ossp.recycle(sse_ossp);
         self.outcomes.push(outcome.clone());
         Ok(outcome)
     }
@@ -515,7 +449,7 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// Close the cycle and return its [`CycleResult`].
     #[must_use]
     pub fn finish(self) -> CycleResult {
-        self.finish_with_backends().0
+        self.finish_with_caches().0
     }
 
     /// Stream a recorded day through this session: pin its day index, push
@@ -528,24 +462,24 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// Propagates solver errors (which do not occur for valid
     /// configurations).
     pub fn drive(self, day: &DayLog) -> Result<CycleResult> {
-        Ok(self.drive_with_backends(day)?.0)
+        Ok(self.drive_with_caches(day)?.0)
     }
 
-    /// [`drive`](Self::drive) that also hands the solver backends back so
+    /// [`drive`](Self::drive) that also hands the warm-start caches back so
     /// replay shards can reuse them for their next day.
-    pub(super) fn drive_with_backends(
+    pub(super) fn drive_with_caches(
         mut self,
         day: &DayLog,
-    ) -> Result<(CycleResult, SessionBackends)> {
+    ) -> Result<(CycleResult, SessionCaches)> {
         self.set_day(day.day());
         for alert in day.alerts() {
             self.push_alert(alert)?;
         }
-        Ok(self.finish_with_backends())
+        Ok(self.finish_with_caches())
     }
 
-    /// [`finish`](Self::finish) that also hands the solver backends back.
-    fn finish_with_backends(self) -> (CycleResult, SessionBackends) {
+    /// [`finish`](Self::finish) that also hands the warm-start caches back.
+    fn finish_with_caches(self) -> (CycleResult, SessionCaches) {
         let n = self.engine.borrow().config.game.num_types();
         let result = CycleResult {
             day: self.day.unwrap_or(0),
@@ -555,9 +489,9 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             offline_coverage: (0..n)
                 .map(|t| self.offline.coverage_of(AlertTypeId(t as u16)))
                 .collect(),
-            sse_totals: self.backends.ossp.totals().since(&self.totals_at_open),
-            certified_eps_loss: self.backends.ossp.certified_eps_loss() - self.eps_loss_at_open,
+            sse_totals: self.caches.ossp.totals.since(&self.totals_at_open),
+            certified_eps_loss: self.caches.ossp.certified_eps_loss() - self.eps_loss_at_open,
         };
-        (result, self.backends)
+        (result, self.caches)
     }
 }

@@ -50,4 +50,4 @@ pub use offline::OfflineSse;
 pub use robust::{evaluate_against_oblivious, robust_ossp, RobustOsspSolution};
 pub use scheme::SignalingScheme;
 pub use signaling::{evaluate_scheme_under_noise, ossp_closed_form, ossp_lp, OsspSolution};
-pub use sse::{SolverBackend, SolverBackendKind, SseInput, SseSolution, SseSolver};
+pub use sse::{SseInput, SseSolution, SseSolver};

@@ -22,9 +22,11 @@
 //! * [`solution`] — [`SseSolution`] and the per-solve [`SseSolveStats`];
 //! * [`cache`] — [`SseCache`] warm-start state and the cumulative
 //!   [`SseCacheTotals`] counters;
-//! * [`solver`] — [`SseSolver`], the multiple-LP method itself;
-//! * [`backend`] — the [`SolverBackend`] trait the engine's [`crate::engine::DaySession`]
-//!   solves through, with the simplex-LP and closed-form implementations.
+//! * [`solver`] — [`SseSolver`], the multiple-LP method itself.
+//!
+//! The engine's [`crate::engine::DaySession`] solves every per-alert
+//! equilibrium with one [`SseSolver`] (shared by the engine) through two
+//! [`SseCache`]s, one per budget world.
 //!
 //! ## The per-alert hot path
 //!
@@ -47,8 +49,7 @@
 //!   with the type count.
 //! * **A single-type closed form** — for one-type games LP (2) reduces to a
 //!   one-variable program whose optimum is attained at a bound, so the
-//!   solver bypasses the LP entirely (promoted to a standalone
-//!   [`ClosedFormBackend`]).
+//!   solver bypasses the LP entirely.
 //! * **Candidate-level parallelism** — with the `parallel` crate feature the
 //!   engine owns a persistent [`sag_pool::WorkerPool`] (spawned once, never
 //!   per call) and exhaustive solves of games with many types fan their
@@ -70,12 +71,12 @@
 //!    (highest auditor utility, exact ties to the lowest type index), so
 //!    solving the incumbent out of order cannot change the winner;
 //! 3. warm-start state is per candidate and day boundaries reset it
-//!    ([`SolverBackend::reset_warm_state`]), so replays stay pure functions
+//!    ([`SseCache::reset_warm_state`]), so replays stay pure functions
 //!    of their own inputs, sharding-independent, with or without pruning.
 //!
 //! The scenario-registry equivalence tests (`sag-scenarios`,
 //! `tests/pruning.rs`) enforce the invariant end to end across every
-//! registered workload, both general-purpose backends and multiple seeds;
+//! registered workload, both budget-accounting modes and multiple seeds;
 //! an `sag-lp` property test pins the bound's one-sidedness itself.
 //!
 //! One caveat on *bitwise* (as opposed to winner/utility) identity: when a
@@ -90,15 +91,11 @@
 //! trips them should relax the comparison to winner + objective, not
 //! weaken the bound.
 
-pub mod backend;
 pub mod cache;
 pub mod input;
 pub mod solution;
 pub mod solver;
 
-pub use backend::{
-    BackendOptions, ClosedFormBackend, SimplexLpBackend, SolverBackend, SolverBackendKind,
-};
 pub use cache::{SseCache, SseCacheTotals};
 pub use input::SseInput;
 pub use solution::{SseSolution, SseSolveStats};

@@ -107,23 +107,18 @@ impl SseSolver {
         SseSolver::with_options(false, 0.0)
     }
 
-    /// [`new`](Self::new) or [`exhaustive`](Self::exhaustive), selected by
-    /// flag — the single construction point for callers that thread
-    /// [`crate::engine::EngineConfig::pruning`] through.
-    #[must_use]
-    pub fn with_pruning(pruning: bool) -> Self {
-        SseSolver::with_options(pruning, 0.0)
-    }
-
     /// Full construction point: pruning flag plus the ε-approximate
-    /// tolerance. With `epsilon > 0.0`, cached *pruned* solves also skip
-    /// candidate LPs whose certified upper bound exceeds the incumbent by
-    /// at most ε; the accumulated per-solve utility-loss bound is reported
-    /// through [`SseCache::certified_eps_loss`]. `epsilon = 0.0` is exactly
-    /// [`with_pruning`](Self::with_pruning): the extra branch never fires,
-    /// results and counters stay bitwise identical to the exact path. The
-    /// tolerance has no effect on exhaustive solvers (`pruning = false`) —
-    /// the ε guard lives on the incremental (pruned) path.
+    /// tolerance (the engine threads [`crate::engine::EngineConfig::pruning`]
+    /// and [`crate::engine::EngineConfig::epsilon`] through here). With
+    /// `epsilon > 0.0`, cached *pruned* solves also skip candidate LPs whose
+    /// certified upper bound exceeds the incumbent by at most ε; the
+    /// accumulated per-solve utility-loss bound is reported through
+    /// [`SseCache::certified_eps_loss`]. `epsilon = 0.0` is exactly
+    /// [`new`](Self::new) or [`exhaustive`](Self::exhaustive): the extra
+    /// branch never fires, results and counters stay bitwise identical to
+    /// the exact path. The tolerance has no effect on exhaustive solvers
+    /// (`pruning = false`) — the ε guard lives on the incremental (pruned)
+    /// path.
     #[must_use]
     pub fn with_options(pruning: bool, epsilon: f64) -> Self {
         SseSolver { pruning, epsilon }
@@ -198,19 +193,15 @@ impl SseSolver {
     ///
     /// Same as [`solve`](Self::solve).
     pub fn solve_cached(&self, input: &SseInput<'_>, cache: &mut SseCache) -> Result<SseSolution> {
-        self.solve_cached_with(input, cache, true, None)
+        self.solve_cached_with(input, cache, None)
     }
 
-    /// [`solve_cached`](Self::solve_cached) with the single-type closed-form
-    /// fast path made optional (the simplex-LP backend disables it so that
-    /// *every* game, single-type included, runs through the multiple-LP
-    /// method — see [`super::SimplexLpBackend::lp_only`]) and an optional
-    /// [`WorkerPool`] for the exhaustive candidate fan-out.
-    pub(super) fn solve_cached_with(
+    /// [`solve_cached`](Self::solve_cached) with an optional [`WorkerPool`]
+    /// for the exhaustive candidate fan-out — the engine's per-alert solve.
+    pub(crate) fn solve_cached_with(
         &self,
         input: &SseInput<'_>,
         cache: &mut SseCache,
-        allow_fast_path: bool,
         pool: Option<&WorkerPool>,
     ) -> Result<SseSolution> {
         input.validate()?;
@@ -219,7 +210,7 @@ impl SseSolver {
         let mut rates = std::mem::take(&mut cache.rates);
         Self::coverage_rates_into(input, &mut rates);
 
-        let result = if n == 1 && allow_fast_path {
+        let result = if n == 1 {
             // Reuse a recycled buffer pair: without the pop, the session's
             // per-alert recycle would grow `spare_solutions` by one entry
             // per fast-path solve, unbounded across a replay.
@@ -1289,7 +1280,7 @@ mod tests {
                 budget,
             };
             let warm = solver
-                .solve_cached_with(&input, &mut cache, true, Some(&pool))
+                .solve_cached_with(&input, &mut cache, Some(&pool))
                 .unwrap();
             let cold = solver.solve(&input).unwrap();
             assert!((warm.auditor_utility - cold.auditor_utility).abs() < 1e-9);
@@ -1330,7 +1321,7 @@ mod tests {
                 budget,
             };
             let pooled = solver
-                .solve_cached_with(&input, &mut pooled_cache, true, Some(&pool))
+                .solve_cached_with(&input, &mut pooled_cache, Some(&pool))
                 .unwrap();
             let sequential = solver.solve_cached(&input, &mut seq_cache).unwrap();
             assert_eq!(pooled, sequential, "step {step}");

@@ -129,7 +129,7 @@ impl ScenarioRun {
 /// `test_days` rolling test days), and the engine configuration.
 /// [`ReplayOptions::new`] takes the layout and configuration from the
 /// scenario; benchmarks and equivalence tests edit the fields to flip
-/// engine switches (solver backend, pruning, accounting) or resize the run.
+/// engine switches (pruning, ε, accounting) or resize the run.
 #[derive(Debug, Clone)]
 pub struct ReplayOptions {
     /// Seed of the recorded stream. A service replay's tenant `t` streams

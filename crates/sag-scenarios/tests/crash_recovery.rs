@@ -2,11 +2,12 @@
 //! `AuditService` at deterministic alert indices — with clean cuts and
 //! torn final records — recover from the surviving WAL bytes, finish the
 //! day, and require the result bitwise identical to the uninterrupted run.
-//! Runs every registry scenario on both general-purpose solver backends,
-//! so durability inherits the same equivalence contract concurrency has.
+//! Runs every registry scenario under both budget-accounting modes, so
+//! durability inherits the same equivalence contract concurrency has —
+//! including the sampled signals' RNG stream and the online world's own LP
+//! chain, which sampled accounting splits off mid-day.
 
-use sag_core::engine::EngineBuilder;
-use sag_core::sse::SolverBackendKind;
+use sag_core::engine::{BudgetAccounting, EngineBuilder};
 use sag_core::CycleResult;
 use sag_scenarios::{registry, Scenario};
 use sag_service::{
@@ -38,11 +39,11 @@ enum Crash {
 
 fn builder_for(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
+    accounting: BudgetAccounting,
     history: Vec<DayLog>,
 ) -> (sag_service::ServiceBuilder, TenantId) {
     let mut config = scenario.engine_config();
-    config.backend = backend;
+    config.accounting = accounting;
     let tenant = TenantId::new(format!("{}-t0", scenario.name()));
     let builder = AuditService::builder().workers(0).tenant_with_history(
         tenant.clone(),
@@ -90,7 +91,7 @@ fn drive_day(
 /// and return the finished result.
 fn crashed_and_recovered(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
+    accounting: BudgetAccounting,
     history: &[DayLog],
     test_day: &DayLog,
     budget: Option<f64>,
@@ -101,7 +102,7 @@ fn crashed_and_recovered(
     let options = DurabilityOptions::no_fsync();
 
     {
-        let (builder, tenant) = builder_for(scenario, backend, history.to_vec());
+        let (builder, tenant) = builder_for(scenario, accounting, history.to_vec());
         // WAL appends: #0 header, #1 OpenDay, #2 + i for alert i.
         let fs: Box<dyn sag_service::WalFs> = match crash {
             Crash::Clean => Box::new(store.clone()),
@@ -141,7 +142,7 @@ fn crashed_and_recovered(
         // The process dies here; only `store`'s bytes survive.
     }
 
-    let (builder, _tenant) = builder_for(scenario, backend, history.to_vec());
+    let (builder, _tenant) = builder_for(scenario, accounting, history.to_vec());
     let mut recovered = builder
         .recover_on(Box::new(store), options)
         .expect("recovers");
@@ -155,7 +156,7 @@ fn crashed_and_recovered(
         .alerts_processed();
     assert!(
         done == kill_alert || matches!(crash, Crash::Torn { .. }) && done == kill_alert + 1,
-        "{} [{backend:?}]: recovered {done} alerts after a kill at {kill_alert} ({crash:?})",
+        "{} [{accounting:?}]: recovered {done} alerts after a kill at {kill_alert} ({crash:?})",
         scenario.name()
     );
     for alert in &test_day.alerts()[done..] {
@@ -175,13 +176,13 @@ fn crashed_and_recovered(
     result
 }
 
-fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
+fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, accounting: BudgetAccounting) {
     let days = scenario.generate_days(SEED, HISTORY_DAYS + 1);
     let (history, test_day) = days.split_at(HISTORY_DAYS as usize);
     let test_day = &test_day[0];
     let budget = scenario.budget_for_day(test_day.day());
 
-    let (builder, tenant) = builder_for(scenario, backend, history.to_vec());
+    let (builder, tenant) = builder_for(scenario, accounting, history.to_vec());
     let mut control_service = builder.build().expect("control build");
     let control = untimed(drive_day(&mut control_service, &tenant, test_day, budget));
 
@@ -203,27 +204,32 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, backend: SolverBac
     ];
     for (kill_alert, crash) in cases {
         let recovered = untimed(crashed_and_recovered(
-            scenario, backend, history, test_day, budget, kill_alert, crash,
+            scenario, accounting, history, test_day, budget, kill_alert, crash,
         ));
         assert_eq!(
             recovered,
             control,
-            "{} [{backend:?}]: recovery after kill at alert {kill_alert} ({crash:?}) diverged",
+            "{} [{accounting:?}]: recovery after kill at alert {kill_alert} ({crash:?}) diverged",
             scenario.name()
         );
     }
 }
 
+/// The default-configuration leg: `Expected` accounting and the paper's
+/// solver dispatch (closed form for one type, the LP method otherwise).
 #[test]
 fn crash_recovery_matches_uninterrupted_on_the_auto_backend() {
     for scenario in registry() {
-        assert_crash_recovery_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_crash_recovery_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }
 }
 
 #[test]
-fn crash_recovery_matches_uninterrupted_on_the_lp_backend() {
+fn crash_recovery_matches_uninterrupted_under_sampled_accounting() {
     for scenario in registry() {
-        assert_crash_recovery_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_crash_recovery_equivalence(
+            scenario.as_ref(),
+            BudgetAccounting::Sampled { seed: 77 },
+        );
     }
 }

@@ -4,8 +4,8 @@
 //!
 //! * **ε = 0 is the exact mode, bitwise** — results *and* solver-work
 //!   counters are identical to a replay that never heard of ε, for every
-//!   registered scenario, multiple seeds and both general-purpose backends
-//!   (the ε guard in the pruned path must not fire at all).
+//!   registered scenario and both budget-accounting modes (the ε guard in
+//!   the pruned path must not fire at all).
 //! * **ε > 0 certifies its loss** — the per-day
 //!   `CycleResult::certified_eps_loss` is nonnegative and bounded by
 //!   ε × solves, and the mode actually skips candidate LPs on workloads
@@ -15,8 +15,9 @@
 //! their full alert streams in a debug test would dominate the suite's
 //! runtime, and the ε branch lives entirely inside `SseSolver`.
 
+use sag_core::engine::BudgetAccounting;
 use sag_core::model::GameConfig;
-use sag_core::sse::{SolverBackendKind, SseCache, SseInput, SseSolver};
+use sag_core::sse::{SseCache, SseInput, SseSolver};
 use sag_core::CycleResult;
 use sag_scenarios::library::{ContinentalSprawl, GlobalMesh};
 use sag_scenarios::{registry, run_scenario, ReplayOptions, Scenario};
@@ -33,7 +34,7 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 
 fn replay(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
+    accounting: BudgetAccounting,
     epsilon: Option<f64>,
     seed: u64,
     history_days: u32,
@@ -42,7 +43,7 @@ fn replay(
     let mut options = ReplayOptions::new(scenario, seed);
     options.history_days = history_days;
     options.test_days = days - history_days;
-    options.config.backend = backend;
+    options.config.accounting = accounting;
     if let Some(epsilon) = epsilon {
         options.config.epsilon = epsilon;
     }
@@ -54,7 +55,7 @@ fn replay(
         .collect()
 }
 
-/// Every registered scenario, both backends: a replay explicitly
+/// Every registered scenario, both accounting modes: a replay explicitly
 /// configured with ε = 0 equals one with the untouched default config,
 /// bitwise, down to the per-alert stats and per-day totals.
 #[test]
@@ -62,11 +63,21 @@ fn zero_epsilon_replays_equal_exact_across_the_whole_registry() {
     for scenario in registry() {
         let many_types = scenario.engine_config().game.num_types() >= 14;
         let (history_days, days) = if many_types { (3, 4) } else { (4, 6) };
-        for backend in [SolverBackendKind::Auto, SolverBackendKind::SimplexLp] {
-            let exact = replay(scenario.as_ref(), backend, None, 2019, history_days, days);
+        for accounting in [
+            BudgetAccounting::Expected,
+            BudgetAccounting::Sampled { seed: 77 },
+        ] {
+            let exact = replay(
+                scenario.as_ref(),
+                accounting,
+                None,
+                2019,
+                history_days,
+                days,
+            );
             let approx = replay(
                 scenario.as_ref(),
-                backend,
+                accounting,
                 Some(0.0),
                 2019,
                 history_days,
@@ -75,7 +86,7 @@ fn zero_epsilon_replays_equal_exact_across_the_whole_registry() {
             assert_eq!(
                 exact,
                 approx,
-                "{} backend {backend:?}: ε = 0 diverged from the exact mode",
+                "{} {accounting:?}: ε = 0 diverged from the exact mode",
                 scenario.name()
             );
             assert!(exact
@@ -93,7 +104,7 @@ fn positive_epsilon_skips_lps_and_certifies_the_loss_per_day() {
     let epsilon = 25.0;
     let cycles = replay(
         scenario.as_ref(),
-        SolverBackendKind::Auto,
+        BudgetAccounting::Expected,
         Some(epsilon),
         2019,
         3,

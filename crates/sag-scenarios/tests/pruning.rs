@@ -2,13 +2,15 @@
 //! replaying any registered workload with incremental candidate pruning
 //! enabled produces **bitwise-identical** winners, coverage, budget splits
 //! and utilities to the exhaustive multiple-LP reference — for every
-//! scenario, multiple seeds and both general-purpose solver backends. Only
-//! the solver-work counters (LP counts, pivots, pruning skips) may differ.
+//! scenario, multiple seeds and both budget-accounting modes (sampled
+//! accounting splits the two worlds' budgets, so it also covers the online
+//! world's own LP chain). Only the solver-work counters (LP counts, pivots,
+//! pruning skips) may differ.
 //!
 //! This is the contract that lets the engine default to pruning: it is a
 //! pure work optimization, never a behaviour change.
 
-use sag_core::sse::SolverBackendKind;
+use sag_core::engine::BudgetAccounting;
 use sag_core::CycleResult;
 use sag_scenarios::{registry, run_scenario, ReplayOptions, Scenario};
 
@@ -25,7 +27,7 @@ fn comparable(mut cycle: CycleResult) -> CycleResult {
 
 fn replay(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
+    accounting: BudgetAccounting,
     pruning: bool,
     seed: u64,
     history_days: u32,
@@ -34,7 +36,7 @@ fn replay(
     let mut options = ReplayOptions::new(scenario, seed);
     options.history_days = history_days;
     options.test_days = days - history_days;
-    options.config.backend = backend;
+    options.config.accounting = accounting;
     options.config.pruning = pruning;
     run_scenario(scenario, &options, 1)
         .expect("scenario replays")
@@ -45,13 +47,16 @@ fn replay(
 }
 
 fn assert_pruning_equivalence(scenario: &dyn Scenario, seed: u64, history_days: u32, days: u32) {
-    for backend in [SolverBackendKind::Auto, SolverBackendKind::SimplexLp] {
-        let pruned = replay(scenario, backend, true, seed, history_days, days);
-        let exhaustive = replay(scenario, backend, false, seed, history_days, days);
+    for accounting in [
+        BudgetAccounting::Expected,
+        BudgetAccounting::Sampled { seed: 77 },
+    ] {
+        let pruned = replay(scenario, accounting, true, seed, history_days, days);
+        let exhaustive = replay(scenario, accounting, false, seed, history_days, days);
         assert_eq!(
             pruned.len(),
             exhaustive.len(),
-            "{} seed {seed} backend {backend:?}",
+            "{} seed {seed} {accounting:?}",
             scenario.name()
         );
         // PartialEq over every f64 field of every outcome (winner type,
@@ -59,13 +64,13 @@ fn assert_pruning_equivalence(scenario: &dyn Scenario, seed: u64, history_days: 
         assert_eq!(
             pruned,
             exhaustive,
-            "{} seed {seed} backend {backend:?}: pruning changed results",
+            "{} seed {seed} {accounting:?}: pruning changed results",
             scenario.name()
         );
     }
 }
 
-/// Every registered scenario, two seeds, both backends. Federated
+/// Every registered scenario, two seeds, both accounting modes. Federated
 /// scenarios (≥ 14 types, the expensive exhaustive arm) run a slightly
 /// smaller layout so the debug-mode suite stays quick; they still cover
 /// several hundred alerts over multiple days each.

@@ -2,12 +2,11 @@
 //! interleaved — round-robin through one driver loop and fanned out over
 //! `sag-pool` worker threads — produce `CycleResult`s bitwise identical to
 //! serial per-tenant replay, across the full scenario registry and both
-//! general-purpose solver backends. This is the contract that makes the
+//! budget-accounting modes. This is the contract that makes the
 //! `AuditService` front door safe to scale: concurrency and multiplexing
 //! change wall-clock time, never results.
 
-use sag_core::engine::EngineBuilder;
-use sag_core::sse::SolverBackendKind;
+use sag_core::engine::{BudgetAccounting, EngineBuilder};
 use sag_core::CycleResult;
 use sag_scenarios::{registry, run_scenario, run_scenario_service, ReplayOptions, Scenario};
 use sag_service::{AuditService, SessionHandle, TenantId};
@@ -27,21 +26,24 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 }
 
 /// The scenario's options at `seed` on the shared layout, pinned to
-/// `backend`.
-fn options(scenario: &dyn Scenario, seed: u64, backend: SolverBackendKind) -> ReplayOptions {
+/// `accounting`.
+fn options(scenario: &dyn Scenario, seed: u64, accounting: BudgetAccounting) -> ReplayOptions {
     let mut options = ReplayOptions::new(scenario, seed);
     options.history_days = HISTORY_DAYS;
     options.test_days = TEST_DAYS;
-    options.config.backend = backend;
+    options.config.accounting = accounting;
     options
 }
 
 /// Serial per-tenant reference: each tenant replayed alone, one shard, on
 /// its own seed — the ground truth the concurrent paths must reproduce.
-fn serial_reference(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<Vec<CycleResult>> {
+fn serial_reference(
+    scenario: &dyn Scenario,
+    accounting: BudgetAccounting,
+) -> Vec<Vec<CycleResult>> {
     (0..TENANTS)
         .map(|t| {
-            run_scenario(scenario, &options(scenario, SEED + t as u64, backend), 1)
+            run_scenario(scenario, &options(scenario, SEED + t as u64, accounting), 1)
                 .expect("serial replay")
                 .cycles
                 .into_iter()
@@ -53,9 +55,9 @@ fn serial_reference(scenario: &dyn Scenario, backend: SolverBackendKind) -> Vec<
 
 /// The pool-threaded leg: tenants fanned out over the service's `sag-pool`
 /// workers via `replay_concurrent`.
-fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
-    let reference = serial_reference(scenario, backend);
-    let service = run_scenario_service(scenario, &options(scenario, SEED, backend), TENANTS, 4)
+fn assert_pool_equivalence(scenario: &dyn Scenario, accounting: BudgetAccounting) {
+    let reference = serial_reference(scenario, accounting);
+    let service = run_scenario_service(scenario, &options(scenario, SEED, accounting), TENANTS, 4)
         .expect("service replay");
     assert_eq!(service.tenants, TENANTS);
     assert_eq!(service.workers, 4);
@@ -67,7 +69,7 @@ fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) 
     assert_eq!(
         concurrent,
         reference,
-        "{} [{backend:?}]: pool-threaded service replay diverged from serial",
+        "{} [{accounting:?}]: pool-threaded service replay diverged from serial",
         scenario.name()
     );
 }
@@ -75,11 +77,11 @@ fn assert_pool_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) 
 /// The single-loop leg: owned handles for all tenants held in one map and
 /// fed strictly round-robin, one alert per tenant per turn — the maximally
 /// interleaved schedule a multiplexing driver loop can produce.
-fn assert_interleaved_equivalence(scenario: &dyn Scenario, backend: SolverBackendKind) {
-    let reference = serial_reference(scenario, backend);
+fn assert_interleaved_equivalence(scenario: &dyn Scenario, accounting: BudgetAccounting) {
+    let reference = serial_reference(scenario, accounting);
 
     let mut config = scenario.engine_config();
-    config.backend = backend;
+    config.accounting = accounting;
     let tenant_ids: Vec<TenantId> = (0..TENANTS)
         .map(|t| TenantId::new(format!("{}-t{t}", scenario.name())))
         .collect();
@@ -144,35 +146,39 @@ fn assert_interleaved_equivalence(scenario: &dyn Scenario, backend: SolverBacken
     assert_eq!(
         results,
         reference,
-        "{} [{backend:?}]: interleaved driver loop diverged from serial",
+        "{} [{accounting:?}]: interleaved driver loop diverged from serial",
         scenario.name()
     );
 }
 
+/// The default-configuration leg: `Expected` accounting and the paper's
+/// solver dispatch (closed form for one type, the LP method otherwise).
 #[test]
 fn pool_threaded_service_replay_matches_serial_on_the_auto_backend() {
     for scenario in registry() {
-        assert_pool_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_pool_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }
 }
 
 #[test]
-fn pool_threaded_service_replay_matches_serial_on_the_lp_backend() {
+fn pool_threaded_service_replay_matches_serial_under_sampled_accounting() {
     for scenario in registry() {
-        assert_pool_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_pool_equivalence(scenario.as_ref(), BudgetAccounting::Sampled { seed: 77 });
     }
 }
 
+/// The default-configuration leg: `Expected` accounting and the paper's
+/// solver dispatch (closed form for one type, the LP method otherwise).
 #[test]
 fn interleaved_owned_sessions_match_serial_on_the_auto_backend() {
     for scenario in registry() {
-        assert_interleaved_equivalence(scenario.as_ref(), SolverBackendKind::Auto);
+        assert_interleaved_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }
 }
 
 #[test]
-fn interleaved_owned_sessions_match_serial_on_the_lp_backend() {
+fn interleaved_owned_sessions_match_serial_under_sampled_accounting() {
     for scenario in registry() {
-        assert_interleaved_equivalence(scenario.as_ref(), SolverBackendKind::SimplexLp);
+        assert_interleaved_equivalence(scenario.as_ref(), BudgetAccounting::Sampled { seed: 77 });
     }
 }

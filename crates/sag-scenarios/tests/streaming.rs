@@ -1,13 +1,11 @@
 //! Streaming equivalence: a `DaySession` fed alert-by-alert produces
 //! bitwise-identical `CycleResult`s to `Session::drive`, to the batch
 //! `replay` at every shard count, and to the scenario streaming driver —
-//! across the full scenario registry, for both general-purpose solver
-//! backends and both budget-accounting modes. This is the contract that lets
+//! across the full scenario registry, for both budget-accounting modes. This is the contract that lets
 //! ingest loops, batch replays and sharded benchmarks share one engine
 //! without ever diverging on results.
 
 use sag_core::engine::{AuditCycleEngine, BudgetAccounting};
-use sag_core::sse::SolverBackendKind;
 use sag_core::CycleResult;
 use sag_scenarios::{registry, run_scenario, stream_scenario, ReplayOptions, Scenario};
 use sag_sim::AlertLog;
@@ -24,7 +22,6 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 /// results against the batch paths, bitwise.
 fn assert_streaming_equivalence(
     scenario: &dyn Scenario,
-    backend: SolverBackendKind,
     accounting: BudgetAccounting,
     seed: u64,
     history_days: u32,
@@ -33,7 +30,6 @@ fn assert_streaming_equivalence(
     let mut options = ReplayOptions::new(scenario, seed);
     options.history_days = history_days;
     options.test_days = days - history_days;
-    options.config.backend = backend;
     options.config.accounting = accounting;
     let engine = AuditCycleEngine::new(options.config.clone()).expect("scenario engine");
     let log = AlertLog::new(scenario.generate_days(seed, days));
@@ -56,7 +52,7 @@ fn assert_streaming_equivalence(
         streamed.push(untimed(session.finish()));
     }
     let name = scenario.name();
-    let label = format!("{name} [{backend:?}, {accounting:?}]");
+    let label = format!("{name} [{accounting:?}]");
 
     // Batch leg 1: Session::drive per group.
     for (&(history, test_day), reference) in groups.iter().zip(&streamed) {
@@ -110,31 +106,12 @@ fn assert_streaming_equivalence(
     }
 }
 
+/// The default-configuration leg: `Expected` accounting and the paper's
+/// solver dispatch (closed form for one type, the LP method otherwise).
 #[test]
 fn every_registered_scenario_streams_identically_on_the_auto_backend() {
     for scenario in registry() {
-        assert_streaming_equivalence(
-            scenario.as_ref(),
-            SolverBackendKind::Auto,
-            BudgetAccounting::Expected,
-            2026,
-            4,
-            7,
-        );
-    }
-}
-
-#[test]
-fn every_registered_scenario_streams_identically_on_the_lp_backend() {
-    for scenario in registry() {
-        assert_streaming_equivalence(
-            scenario.as_ref(),
-            SolverBackendKind::SimplexLp,
-            BudgetAccounting::Expected,
-            2026,
-            4,
-            7,
-        );
+        assert_streaming_equivalence(scenario.as_ref(), BudgetAccounting::Expected, 2026, 4, 7);
     }
 }
 
@@ -143,7 +120,6 @@ fn every_registered_scenario_streams_identically_under_sampled_accounting() {
     for scenario in registry() {
         assert_streaming_equivalence(
             scenario.as_ref(),
-            SolverBackendKind::Auto,
             BudgetAccounting::Sampled { seed: 77 },
             2026,
             4,

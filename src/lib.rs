@@ -147,7 +147,7 @@ pub mod prelude {
     pub use sag_core::offline::OfflineSse;
     pub use sag_core::scheme::{Signal, SignalingScheme};
     pub use sag_core::signaling::{ossp_closed_form, ossp_lp, OsspSolution};
-    pub use sag_core::sse::{SolverBackend, SolverBackendKind, SseInput, SseSolution, SseSolver};
+    pub use sag_core::sse::{SseInput, SseSolution, SseSolver};
     pub use sag_core::{ConfigError, SagError};
     pub use sag_forecast::{ArrivalModel, FutureAlertEstimator, RollbackPolicy};
     pub use sag_lp::{LpProblem, Objective as LpObjective, Relation};

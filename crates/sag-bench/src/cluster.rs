@@ -151,14 +151,11 @@ fn drive_cluster(
     days: u32,
     shards: usize,
 ) -> Result<(f64, Vec<Vec<CycleResult>>), ServiceError> {
-    let (builder, fleet) = tenant_fleet_cluster_parts(
-        scenario,
-        options.seed,
-        tenants,
-        options.history_days,
-        days,
-        shards,
-    );
+    let options = ReplayOptions {
+        test_days: days,
+        ..options.clone()
+    };
+    let (builder, fleet) = tenant_fleet_cluster_parts(scenario, &options, tenants, shards);
     let (router, mut services) = builder.workers(0).build()?.into_shards();
     let mut per_shard: Vec<Vec<usize>> = vec![Vec::new(); router.num_shards()];
     for (position, tenant) in fleet.iter().enumerate() {

@@ -34,7 +34,10 @@ use sag_net::{
     fetch_metrics, parse_metric, ChaosPlan, ChaosProxy, Client, ClientConfig, Direction, Fault,
     RandomChaos, RetryPolicy, Server, ServerConfig, WireError,
 };
-use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_cluster_parts, FleetTenant};
+use sag_scenarios::{
+    find_scenario, tenant_fleet, tenant_fleet_cluster_parts, tenant_fleet_parts, FleetTenant,
+    ReplayOptions,
+};
 use sag_service::{Request, Response};
 use std::sync::Barrier;
 use std::time::{Duration, Instant};
@@ -175,10 +178,13 @@ pub fn run_network_load(config: &NetLoadConfig) -> Result<NetLoadReport, String>
     let shards = config.shards.max(1);
     let (builder, tenants) = tenant_fleet_cluster_parts(
         scenario.as_ref(),
-        config.seed,
+        &ReplayOptions::with_layout(
+            scenario.as_ref(),
+            config.seed,
+            config.history_days,
+            config.test_days,
+        ),
         config.tenants,
-        config.history_days,
-        config.test_days,
         shards,
     );
 
@@ -423,8 +429,12 @@ fn measured_burst(
 fn run_shed_probe(config: &NetLoadConfig) -> Result<ShedProbeReport, String> {
     let scenario = find_scenario(&config.scenario)
         .ok_or_else(|| format!("unknown scenario {:?}", config.scenario))?;
-    let fleet = tenant_fleet(scenario.as_ref(), config.seed, 1, config.history_days, 1)
-        .map_err(|e| format!("shed-probe fleet build failed: {e}"))?;
+    let fleet = tenant_fleet(
+        scenario.as_ref(),
+        &ReplayOptions::with_layout(scenario.as_ref(), config.seed, config.history_days, 1),
+        1,
+    )
+    .map_err(|e| format!("shed-probe fleet build failed: {e}"))?;
     let quota = 2usize;
     let server = Server::start(
         fleet.service,
@@ -625,10 +635,13 @@ fn drive_control(config: &ChaosLoadConfig) -> Result<Vec<Vec<sag_core::CycleResu
         .ok_or_else(|| format!("unknown scenario {:?}", config.scenario))?;
     let fleet = tenant_fleet(
         scenario.as_ref(),
-        config.seed,
+        &ReplayOptions::with_layout(
+            scenario.as_ref(),
+            config.seed,
+            config.history_days,
+            config.test_days,
+        ),
         config.tenants,
-        config.history_days,
-        config.test_days,
     )
     .map_err(|e| format!("control fleet build failed: {e}"))?;
     let mut service = fleet.service;
@@ -705,10 +718,13 @@ pub fn run_chaos_load(config: &ChaosLoadConfig) -> Result<ChaosLoadReport, Strin
         .ok_or_else(|| format!("unknown scenario {:?}", config.scenario))?;
     let fleet = tenant_fleet(
         scenario.as_ref(),
-        config.seed,
+        &ReplayOptions::with_layout(
+            scenario.as_ref(),
+            config.seed,
+            config.history_days,
+            config.test_days,
+        ),
         config.tenants,
-        config.history_days,
-        config.test_days,
     )
     .map_err(|e| format!("chaos fleet build failed: {e}"))?;
     let budgets: Vec<Vec<Option<f64>>> = fleet
@@ -852,11 +868,9 @@ fn run_recovery_probe(config: &ChaosLoadConfig) -> Result<bool, String> {
         config.seed
     ));
     let _ = std::fs::remove_dir_all(&wal_dir);
-    let (builder, tenants) = sag_scenarios::tenant_fleet_parts(
+    let (builder, tenants) = tenant_fleet_parts(
         scenario.as_ref(),
-        config.seed,
-        1,
-        config.history_days,
+        &ReplayOptions::with_layout(scenario.as_ref(), config.seed, config.history_days, 1),
         1,
     );
     let service = builder
@@ -892,11 +906,9 @@ fn run_recovery_probe(config: &ChaosLoadConfig) -> Result<bool, String> {
     // Crash: tear the server down mid-day with the session open...
     drop(server);
     // ...recover the exact state from the WAL onto a fresh port...
-    let (builder, _) = sag_scenarios::tenant_fleet_parts(
+    let (builder, _) = tenant_fleet_parts(
         scenario.as_ref(),
-        config.seed,
-        1,
-        config.history_days,
+        &ReplayOptions::with_layout(scenario.as_ref(), config.seed, config.history_days, 1),
         1,
     );
     let recovered = builder

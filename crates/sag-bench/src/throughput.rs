@@ -10,8 +10,7 @@
 //! * **streaming** — feeds the same alerts one at a time through
 //!   [`sag_core::DaySession::push_alert`] (the production ingest shape) and
 //!   reports p50/p99 *decision* latency: the full per-alert cost of forecast
-//!   update, both worlds' SSE solves, the signaling scheme and the budget
-//!   charge.
+//!   update, the SSE solve, the signaling scheme and the budget charge.
 //!
 //! Two further legs ride along in the same report: the **LP kernel**
 //! comparison (cold candidate-LP solves through the blocked production
@@ -382,9 +381,7 @@ pub fn epsilon_mode_experiment(
     history_days: u32,
     test_days: u32,
 ) -> EpsilonModeReport {
-    let mut options = ReplayOptions::new(&GlobalMesh, seed);
-    options.history_days = history_days;
-    options.test_days = test_days;
+    let mut options = ReplayOptions::with_layout(&GlobalMesh, seed, history_days, test_days);
     options.config.epsilon = epsilon;
     let run = run_scenario(&GlobalMesh, &options, 1).expect("global-mesh replay succeeds");
     let totals = run.sse_totals();

@@ -6,30 +6,32 @@
 //! shape. Its core is the stateful [`DaySession`] — open one per audit cycle
 //! ([`AuditCycleEngine::open_day`]), push alerts as they arrive
 //! ([`DaySession::push_alert`]), close it at end of cycle
-//! ([`DaySession::finish`]). For every pushed alert the session computes in
-//! real time what each of the three strategies of the paper's evaluation
-//! would do and earn:
+//! ([`DaySession::finish`]). For every pushed alert the session solves one
+//! equilibrium and reports what each of the three strategies of the paper's
+//! evaluation would do and earn:
 //!
 //! * **OSSP** — the Signaling Audit Game: online SSE for the remaining budget,
 //!   then the optimal signaling scheme for the triggered alert's type
 //!   (applied when the alert's type is the attacker's best-response type;
 //!   other alerts fall back to the online SSE, exactly as in the paper's
 //!   multi-type experiment);
-//! * **online SSE** — the same online budget-aware equilibrium but without
-//!   signaling;
+//! * **online SSE** — the same online budget-aware equilibrium played
+//!   without signaling, at the same budget and forecast (the comparison
+//!   Theorems 1–2 make);
 //! * **offline SSE** — a single whole-day equilibrium computed up front from
 //!   historical daily totals (flat utility).
 //!
-//! Each strategy consumes its own budget as the day unfolds; by default the
-//! engine charges the expected audit cost per alert (deterministic,
-//! reproducible), with an option to sample the signal and charge the
-//! signal-conditional cost as the paper describes.
+//! The session keeps one budget, charged with the OSSP's audit cost as the
+//! day unfolds. By default the engine charges the expected audit cost per
+//! alert (deterministic, reproducible), with an option to sample the signal
+//! and charge the signal-conditional cost as the paper describes. The
+//! online SSE never samples a signal and, by Theorem 1, has the OSSP's
+//! marginal coverage, so it needs no budget of its own.
 //!
 //! Equilibria are solved by the engine's one [`crate::sse::SseSolver`]: the
 //! exact closed form for single-type games, the warm-started, pruned
-//! multiple-LP method otherwise. Each session keeps one
-//! [`crate::sse::SseCache`] per budget world, so the OSSP and online-SSE
-//! worlds warm-start along their own trails.
+//! multiple-LP method otherwise. Each session warm-starts its solves from
+//! one [`crate::sse::SseCache`].
 //!
 //! ## Module layout
 //!
@@ -119,6 +121,43 @@ mod tests {
             assert!(o.budget_after_online >= -1e-12);
             last_ossp = o.budget_after_ossp;
             last_online = o.budget_after_online;
+        }
+    }
+
+    #[test]
+    fn one_budget_world_under_both_accounting_modes() {
+        // A session keeps one budget and solves one SSE per alert: the
+        // online-SSE fields report that equilibrium, so its coverage and
+        // budget trail are the OSSP world's, bit for bit, whether the
+        // signal is charged in expectation or sampled.
+        let (history, test_day) = multi_type_setup(71);
+        for accounting in [
+            BudgetAccounting::Expected,
+            BudgetAccounting::Sampled { seed: 77 },
+        ] {
+            let mut config = EngineConfig::paper_multi_type();
+            config.accounting = accounting;
+            let engine = AuditCycleEngine::new(config).unwrap();
+            let mut session = engine.open_day(&history, None).unwrap();
+            for alert in test_day.alerts() {
+                session.push_alert(alert).unwrap();
+            }
+            let remaining = session.remaining_budget_ossp();
+            let result = session.finish();
+            assert!(!result.is_empty());
+            for o in &result.outcomes {
+                assert_eq!(
+                    o.budget_after_online.to_bits(),
+                    o.budget_after_ossp.to_bits(),
+                    "{accounting:?} alert {}",
+                    o.index
+                );
+                assert_eq!(o.coverage_online, o.coverage_ossp, "{accounting:?}");
+            }
+            let last = result.outcomes.last().unwrap();
+            assert_eq!(last.budget_after_ossp.to_bits(), remaining.to_bits());
+            // One SSE solve per alert.
+            assert_eq!(result.sse_totals.solves as usize, result.len());
         }
     }
 
@@ -363,7 +402,7 @@ mod tests {
             )
             .unwrap()
             .remove(0);
-        // Zero budget: no coverage anywhere, in either world.
+        // Zero budget: no coverage anywhere, with or without signaling.
         for o in &starved.outcomes {
             assert_eq!(o.budget_after_ossp, 0.0);
             assert!(o.coverage_ossp.abs() < 1e-9);

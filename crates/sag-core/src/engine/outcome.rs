@@ -17,13 +17,16 @@ pub struct AlertOutcome {
     pub type_id: AlertTypeId,
     /// Auditor's expected utility under the OSSP (with signaling).
     pub ossp_utility: f64,
-    /// Auditor's expected utility under the online SSE (no signaling).
+    /// Auditor's expected utility under the online SSE (no signaling): the
+    /// equilibrium the session solved for this alert, at the same remaining
+    /// budget and forecast as the OSSP.
     pub online_sse_utility: f64,
     /// Auditor's expected utility under the offline SSE (flat baseline).
     pub offline_sse_utility: f64,
     /// Attacker's expected utility under the OSSP.
     pub ossp_attacker_utility: f64,
-    /// Attacker's expected utility under the online SSE.
+    /// Attacker's expected utility under the online SSE (the same
+    /// equilibrium as [`online_sse_utility`](Self::online_sse_utility)).
     pub online_attacker_utility: f64,
     /// The signaling scheme applied to this alert in the OSSP world.
     pub ossp_scheme: SignalingScheme,
@@ -32,22 +35,27 @@ pub struct AlertOutcome {
     /// Whether the OSSP was actually applied to this alert (its type equals
     /// the attacker's best-response type); otherwise the online SSE was used.
     pub ossp_applied: bool,
-    /// Marginal coverage of this alert's type in the OSSP world.
+    /// Marginal coverage of this alert's type under the online SSE; the
+    /// OSSP keeps it as its marginal audit probability (Theorem 1).
     pub coverage_ossp: f64,
-    /// Marginal coverage of this alert's type in the online-SSE world.
+    /// Marginal coverage of this alert's type without signaling. One
+    /// equilibrium answers both, so this always equals
+    /// [`coverage_ossp`](Self::coverage_ossp).
     pub coverage_online: f64,
-    /// The attacker's best-response type under the online SSE of the OSSP
-    /// world at this point of the day.
+    /// The attacker's best-response type under the online SSE at this point
+    /// of the day.
     pub best_response: AlertTypeId,
-    /// Remaining budget in the OSSP world after processing this alert.
+    /// Remaining budget after processing this alert.
     pub budget_after_ossp: f64,
-    /// Remaining budget in the online-SSE world after processing this alert.
+    /// Remaining budget after processing this alert. A session keeps one
+    /// budget, so this always equals
+    /// [`budget_after_ossp`](Self::budget_after_ossp).
     pub budget_after_online: f64,
     /// Wall-clock time spent computing the SSE + OSSP for this alert, in
     /// microseconds (the per-alert optimization cost the paper reports).
     pub solve_micros: u64,
-    /// Solver-work statistics of the OSSP-world SSE computation for this
-    /// alert (LPs solved, warm-start hits, simplex pivots).
+    /// Solver-work statistics of this alert's SSE computation (LPs solved,
+    /// warm-start hits, simplex pivots).
     pub sse_stats: SseSolveStats,
 }
 
@@ -64,11 +72,11 @@ pub struct CycleResult {
     pub offline_attacker_utility: f64,
     /// Offline coverage per type.
     pub offline_coverage: Vec<f64>,
-    /// Aggregate solver work of the OSSP-world SSE cache over this day
+    /// Aggregate solver work of the session's SSE cache over this day
     /// (solves, warm-start attempts/hits, pivots).
     pub sse_totals: SseCacheTotals,
     /// Certified upper bound on the auditor utility given up by the
-    /// ε-approximate solve mode over this day (OSSP world), summed across
+    /// ε-approximate solve mode over this day, summed across
     /// the day's solves. Exactly `0.0` when the engine runs exact
     /// (`epsilon = 0.0`); with `epsilon > 0` the bound is at most
     /// `epsilon × sse_totals.solves`.

@@ -8,7 +8,8 @@
 //! batch driver: `engine.open_day(history, None)?.drive(day)`.
 
 use super::outcome::CycleResult;
-use super::session::{AuditCycleEngine, Session, SessionCaches};
+use super::session::{AuditCycleEngine, Session};
+use crate::sse::SseCache;
 use crate::{ConfigError, Result};
 use sag_sim::DayLog;
 
@@ -82,7 +83,7 @@ pub fn recommended_shards(num_jobs: usize) -> usize {
 
 impl AuditCycleEngine {
     /// Replay a batch of day jobs partitioned into `shards` contiguous
-    /// shards. Each shard owns its own warm-start caches (simplex workspaces
+    /// shards. Each shard owns its own warm-start cache (simplex workspaces
     /// and cached candidate LPs), streams its jobs' days sequentially, and —
     /// with the `parallel` feature, on a multi-core host — runs as a task
     /// on the engine's persistent [`sag_pool::WorkerPool`] (spawned once at
@@ -125,9 +126,9 @@ impl AuditCycleEngine {
                     .zip(results.chunks_mut(chunk_size))
                     .map(|(job_chunk, result_chunk)| {
                         Box::new(move || {
-                            let mut caches = SessionCaches::default();
+                            let mut cache = SseCache::default();
                             for (job, out) in job_chunk.iter().zip(result_chunk.iter_mut()) {
-                                *out = Some(self.stream_job(job, &mut caches));
+                                *out = Some(self.stream_job(job, &mut cache));
                             }
                         }) as sag_pool::Task<'_>
                     })
@@ -142,22 +143,21 @@ impl AuditCycleEngine {
 
         let mut results = Vec::with_capacity(jobs.len());
         for job_chunk in jobs.chunks(chunk_size) {
-            let mut caches = SessionCaches::default();
+            let mut cache = SseCache::default();
             for job in job_chunk {
-                results.push(self.stream_job(job, &mut caches)?);
+                results.push(self.stream_job(job, &mut cache)?);
             }
         }
         Ok(results)
     }
 
     /// Stream one job's test day through a [`super::DaySession`], reusing
-    /// the shard's cache pair (the session resets its warm-start state on
-    /// open).
-    fn stream_job(&self, job: &ReplayJob<'_>, caches: &mut SessionCaches) -> Result<CycleResult> {
+    /// the shard's cache (the session resets its warm-start state on open).
+    fn stream_job(&self, job: &ReplayJob<'_>, cache: &mut SseCache) -> Result<CycleResult> {
         let (result, used) =
-            Session::open_with(self, job.history, job.budget, std::mem::take(caches))?
-                .drive_with_caches(job.test_day)?;
-        *caches = used;
+            Session::open_with(self, job.history, job.budget, std::mem::take(cache))?
+                .drive_with_cache(job.test_day)?;
+        *cache = used;
         Ok(result)
     }
 }

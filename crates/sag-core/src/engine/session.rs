@@ -58,18 +58,9 @@ pub struct AuditCycleEngine {
     pool: Arc<OnceLock<Option<Arc<WorkerPool>>>>,
 }
 
-/// The warm-start caches of one day session: the OSSP world and the
-/// online-SSE world consume budget differently, so each keeps its own
-/// warm-start trail. Reused across the days of a replay shard so the
-/// steady state stays allocation-free.
-#[derive(Debug, Default)]
-pub(super) struct SessionCaches {
-    ossp: SseCache,
-    online: SseCache,
-}
-
-/// One audit cycle in progress: per-day forecaster state, both worlds'
-/// remaining budgets and warm-start caches, and the outcomes recorded so far.
+/// One audit cycle in progress: per-day forecaster state, the remaining
+/// budget, the warm-start cache of the per-alert SSE solves, and the
+/// outcomes recorded so far.
 ///
 /// Generic over how the engine is held: `E` is any
 /// [`Borrow<AuditCycleEngine>`] — a plain reference ([`DaySession`]), an
@@ -87,12 +78,13 @@ pub struct Session<E: Borrow<AuditCycleEngine>> {
     estimator: FutureAlertEstimator,
     offline: OfflineSse,
     rng: Option<StdRng>,
-    budget_ossp: f64,
-    budget_online: f64,
+    budget: f64,
     outcomes: Vec<AlertOutcome>,
-    caches: SessionCaches,
+    /// Warm-start cache of the per-alert SSE solves. Reused across the days
+    /// of a replay shard so the steady state stays allocation-free.
+    cache: SseCache,
     totals_at_open: SseCacheTotals,
-    /// OSSP cache's cumulative certified ε loss when the session opened,
+    /// The cache's cumulative certified ε loss when the session opened,
     /// so `finish` can attribute exactly this day's loss (the cache is
     /// reused across the days of a replay shard, like the totals).
     eps_loss_at_open: f64,
@@ -170,10 +162,9 @@ impl AuditCycleEngine {
     }
 
     /// Open a streaming session for one audit cycle: fit the forecaster on
-    /// `history`, solve the offline whole-day baseline, and initialise both
-    /// worlds' budgets to `budget` (or the game's configured budget for
-    /// `None`). Alerts are then fed with [`DaySession::push_alert`] as they
-    /// arrive.
+    /// `history`, solve the offline whole-day baseline, and set the remaining
+    /// budget to `budget` (or the game's configured budget for `None`).
+    /// Alerts are then fed with [`DaySession::push_alert`] as they arrive.
     ///
     /// # Errors
     ///
@@ -201,8 +192,8 @@ impl AuditCycleEngine {
         Session::open(Arc::clone(self), history, budget)
     }
 
-    /// Solve one world's online SSE for the given forecast and remaining
-    /// budget, warm-started from (and recording into) that world's `cache`.
+    /// Solve the online SSE for the given forecast and remaining budget,
+    /// warm-started from (and recording into) the session's `cache`.
     fn solve_sse(
         &self,
         estimates: &[f64],
@@ -224,8 +215,8 @@ impl AuditCycleEngine {
 impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// Open one audit cycle on `engine`, whatever form holds it: fit the
     /// forecaster on `history`, solve the offline whole-day baseline, and
-    /// initialise both worlds' budgets to `budget` (or the game's configured
-    /// budget for `None`). This is the generic constructor behind
+    /// set the remaining budget to `budget` (or the game's configured budget
+    /// for `None`). This is the generic constructor behind
     /// [`AuditCycleEngine::open_day`] (pass `&engine`) and
     /// [`AuditCycleEngine::open_day_owned`] (pass an `Arc`).
     ///
@@ -235,21 +226,20 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// negative budget override, and propagates offline-solver errors (which
     /// do not occur for valid configurations).
     pub fn open(engine: E, history: &[DayLog], budget: Option<f64>) -> Result<Self> {
-        Self::open_with(engine, history, budget, SessionCaches::default())
+        Self::open_with(engine, history, budget, SseCache::default())
     }
 
-    /// [`open`](Self::open) over caller-provided caches (replay shards
-    /// reuse one pair across their days). The caches' warm-start state is
-    /// reset on entry: day boundaries start cold, which keeps every session
-    /// a pure function of its own inputs.
+    /// [`open`](Self::open) over a caller-provided cache (replay shards
+    /// reuse one across their days). The cache's warm-start state is reset
+    /// on entry: day boundaries start cold, which keeps every session a pure
+    /// function of its own inputs.
     pub(super) fn open_with(
         engine: E,
         history: &[DayLog],
         budget: Option<f64>,
-        mut caches: SessionCaches,
+        mut cache: SseCache,
     ) -> Result<Self> {
-        caches.ossp.reset_warm_state();
-        caches.online.reset_warm_state();
+        cache.reset_warm_state();
 
         if let Some(budget) = budget {
             super::replay::validate_budget(budget)?;
@@ -272,17 +262,16 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             BudgetAccounting::Expected => None,
         };
 
-        let totals_at_open = caches.ossp.totals;
-        let eps_loss_at_open = caches.ossp.certified_eps_loss();
+        let totals_at_open = cache.totals;
+        let eps_loss_at_open = cache.certified_eps_loss();
         Ok(Session {
             engine,
             estimator,
             offline,
             rng,
-            budget_ossp: cycle_budget,
-            budget_online: cycle_budget,
+            budget: cycle_budget,
             outcomes: Vec::new(),
-            caches,
+            cache,
             totals_at_open,
             eps_loss_at_open,
             estimates: Vec::new(),
@@ -312,29 +301,25 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// The outcomes committed so far, in arrival order. This is the
     /// observable mid-day state a durability layer must reproduce: a
     /// recovered session is correct exactly when its outcome log (and
-    /// remaining budgets) match the original's bitwise.
+    /// remaining budget) match the original's bitwise.
     #[must_use]
     pub fn outcomes(&self) -> &[AlertOutcome] {
         &self.outcomes
     }
 
-    /// Remaining budget in the OSSP (signaling) world.
+    /// Remaining budget after the alerts pushed so far.
     #[must_use]
     pub fn remaining_budget_ossp(&self) -> f64 {
-        self.budget_ossp
+        self.budget
     }
 
-    /// Remaining budget in the online-SSE world.
-    #[must_use]
-    pub fn remaining_budget_online(&self) -> f64 {
-        self.budget_online
-    }
-
-    /// Process one arriving alert: compute the OSSP warning decision and the
-    /// two baselines for it, charge both worlds' budgets, update the
-    /// forecaster, and record the outcome. Returns the committed outcome —
-    /// its [`ossp_scheme`](AlertOutcome::ossp_scheme) is the signaling
-    /// scheme the auditor plays for this alert.
+    /// Process one arriving alert: solve the online SSE for the remaining
+    /// budget, derive the OSSP warning decision from it, charge the budget,
+    /// update the forecaster, and record the outcome. Returns the committed
+    /// outcome — its [`ossp_scheme`](AlertOutcome::ossp_scheme) is the
+    /// signaling scheme the auditor plays for this alert. The outcome's
+    /// online-SSE fields report the same equilibrium played without
+    /// signaling, and its offline field the whole-day baseline.
     ///
     /// # Errors
     ///
@@ -349,15 +334,13 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
         self.estimator
             .estimate_all_into(alert.time, &mut self.estimates);
 
-        // ---- OSSP world -------------------------------------------------
         let started = Instant::now();
-        let sse_ossp =
-            engine.solve_sse(&self.estimates, self.budget_ossp, &mut self.caches.ossp)?;
+        let sse = engine.solve_sse(&self.estimates, self.budget, &mut self.cache)?;
         let type_payoffs = game.payoffs.get(alert.type_id);
-        let coverage_ossp = sse_ossp.coverage_of(alert.type_id);
-        let ossp_applied = alert.type_id == sse_ossp.best_response;
+        let coverage = sse.coverage_of(alert.type_id);
+        let ossp_applied = alert.type_id == sse.best_response;
         let (ossp_scheme, ossp_utility, ossp_attacker_utility, ossp_deterred) = if ossp_applied {
-            let mut ossp = ossp_closed_form(type_payoffs, coverage_ossp);
+            let mut ossp = ossp_closed_form(type_payoffs, coverage);
             if engine.config.signal_noise > 0.0 {
                 // Leaky channel: keep the committed scheme but score it
                 // under the attacker's noisy Bayesian posterior.
@@ -377,41 +360,23 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             // Alerts whose type is not the best response are handled
             // with the plain online SSE, as in the paper's evaluation.
             (
-                SignalingScheme::no_signaling(coverage_ossp),
-                sse_ossp.auditor_utility,
-                sse_ossp.attacker_utility,
+                SignalingScheme::no_signaling(coverage),
+                sse.auditor_utility,
+                sse.attacker_utility,
                 false,
             )
         };
         let solve_micros = started.elapsed().as_micros() as u64;
 
-        // ---- online-SSE world -------------------------------------------
-        // While the two worlds' budgets agree (the start of a day) the OSSP
-        // solve answers both; once they diverge the online world solves on
-        // its own cache. Either way no solution is cloned — the online
-        // outcome fields are scalars read through a borrow.
-        let sse_online_owned = if (self.budget_online - self.budget_ossp).abs() < 1e-12 {
-            None
-        } else {
-            Some(engine.solve_sse(&self.estimates, self.budget_online, &mut self.caches.online)?)
-        };
-        let sse_online = sse_online_owned.as_ref().unwrap_or(&sse_ossp);
-        let coverage_online = sse_online.coverage_of(alert.type_id);
-        let online_sse_utility = sse_online.auditor_utility;
-        let online_attacker_utility = sse_online.attacker_utility;
-
-        // ---- budget updates ---------------------------------------------
         let cost = game.audit_costs[alert.type_id.index()];
-        let ossp_charge = match self.rng.as_mut() {
+        let charge = match self.rng.as_mut() {
             Some(rng) => {
                 let signal = ossp_scheme.sample_signal(rng);
                 ossp_scheme.conditional_audit_cost(signal) * cost
             }
             None => ossp_scheme.expected_audit_cost() * cost,
         };
-        let online_charge = coverage_online * cost;
-        self.budget_ossp = (self.budget_ossp - ossp_charge).max(0.0);
-        self.budget_online = (self.budget_online - online_charge).max(0.0);
+        self.budget = (self.budget - charge).max(0.0);
 
         self.estimator.observe_alert(alert.time);
 
@@ -421,27 +386,24 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             time: alert.time,
             type_id: alert.type_id,
             ossp_utility,
-            online_sse_utility,
+            online_sse_utility: sse.auditor_utility,
             offline_sse_utility: self.offline.auditor_utility(),
             ossp_attacker_utility,
-            online_attacker_utility,
+            online_attacker_utility: sse.attacker_utility,
             ossp_scheme,
             ossp_deterred,
             ossp_applied,
-            coverage_ossp,
-            coverage_online,
-            best_response: sse_ossp.best_response,
-            budget_after_ossp: self.budget_ossp,
-            budget_after_online: self.budget_online,
+            coverage_ossp: coverage,
+            coverage_online: coverage,
+            best_response: sse.best_response,
+            budget_after_ossp: self.budget,
+            budget_after_online: self.budget,
             solve_micros,
-            sse_stats: sse_ossp.stats,
+            sse_stats: sse.stats,
         };
-        // Hand the solution buffers back to their caches for reuse — the
-        // last steady-state allocations of the per-alert path.
-        if let Some(online) = sse_online_owned {
-            self.caches.online.recycle(online);
-        }
-        self.caches.ossp.recycle(sse_ossp);
+        // Hand the solution buffers back to the cache for reuse — the last
+        // steady-state allocation of the per-alert path.
+        self.cache.recycle(sse);
         self.outcomes.push(outcome.clone());
         Ok(outcome)
     }
@@ -449,7 +411,7 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// Close the cycle and return its [`CycleResult`].
     #[must_use]
     pub fn finish(self) -> CycleResult {
-        self.finish_with_caches().0
+        self.finish_with_cache().0
     }
 
     /// Stream a recorded day through this session: pin its day index, push
@@ -462,24 +424,21 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
     /// Propagates solver errors (which do not occur for valid
     /// configurations).
     pub fn drive(self, day: &DayLog) -> Result<CycleResult> {
-        Ok(self.drive_with_caches(day)?.0)
+        Ok(self.drive_with_cache(day)?.0)
     }
 
-    /// [`drive`](Self::drive) that also hands the warm-start caches back so
-    /// replay shards can reuse them for their next day.
-    pub(super) fn drive_with_caches(
-        mut self,
-        day: &DayLog,
-    ) -> Result<(CycleResult, SessionCaches)> {
+    /// [`drive`](Self::drive) that also hands the warm-start cache back so
+    /// replay shards can reuse it for their next day.
+    pub(super) fn drive_with_cache(mut self, day: &DayLog) -> Result<(CycleResult, SseCache)> {
         self.set_day(day.day());
         for alert in day.alerts() {
             self.push_alert(alert)?;
         }
-        Ok(self.finish_with_caches())
+        Ok(self.finish_with_cache())
     }
 
-    /// [`finish`](Self::finish) that also hands the warm-start caches back.
-    fn finish_with_caches(self) -> (CycleResult, SessionCaches) {
+    /// [`finish`](Self::finish) that also hands the warm-start cache back.
+    fn finish_with_cache(self) -> (CycleResult, SseCache) {
         let n = self.engine.borrow().config.game.num_types();
         let result = CycleResult {
             day: self.day.unwrap_or(0),
@@ -489,9 +448,9 @@ impl<E: Borrow<AuditCycleEngine>> Session<E> {
             offline_coverage: (0..n)
                 .map(|t| self.offline.coverage_of(AlertTypeId(t as u16)))
                 .collect(),
-            sse_totals: self.caches.ossp.totals.since(&self.totals_at_open),
-            certified_eps_loss: self.caches.ossp.certified_eps_loss() - self.eps_loss_at_open,
+            sse_totals: self.cache.totals.since(&self.totals_at_open),
+            certified_eps_loss: self.cache.certified_eps_loss() - self.eps_loss_at_open,
         };
-        (result, self.caches)
+        (result, self.cache)
     }
 }

@@ -25,8 +25,8 @@
 //! * [`solver`] — [`SseSolver`], the multiple-LP method itself.
 //!
 //! The engine's [`crate::engine::DaySession`] solves every per-alert
-//! equilibrium with one [`SseSolver`] (shared by the engine) through two
-//! [`SseCache`]s, one per budget world.
+//! equilibrium with one [`SseSolver`] (shared by the engine) through one
+//! [`SseCache`]: one solve per alert.
 //!
 //! ## The per-alert hot path
 //!

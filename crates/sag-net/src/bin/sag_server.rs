@@ -26,7 +26,7 @@
 //! `shard-<i>` WAL subdirectory — and `/metrics` aggregates across shards.
 
 use sag_net::{Server, ServerConfig};
-use sag_scenarios::{find_scenario, tenant_fleet_cluster_parts, tenant_fleet_parts};
+use sag_scenarios::{find_scenario, tenant_fleet_cluster_parts, tenant_fleet_parts, ReplayOptions};
 use std::time::Duration;
 
 fn parse_flag<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> T {
@@ -65,15 +65,10 @@ fn main() {
         }
         std::process::exit(2);
     };
+    let options = ReplayOptions::with_layout(scenario.as_ref(), seed, history_days, test_days);
     let server = if shards > 1 {
-        let (builder, _tenants) = tenant_fleet_cluster_parts(
-            scenario.as_ref(),
-            seed,
-            tenants,
-            history_days,
-            test_days,
-            shards,
-        );
+        let (builder, _tenants) =
+            tenant_fleet_cluster_parts(scenario.as_ref(), &options, tenants, shards);
         let cluster = match (wal_dir.as_str(), recover) {
             ("", _) => builder.build(),
             (dir, false) => builder.durable(dir).build(),
@@ -88,8 +83,7 @@ fn main() {
         };
         Server::start_cluster(cluster, addr.as_str(), config)
     } else {
-        let (builder, _tenants) =
-            tenant_fleet_parts(scenario.as_ref(), seed, tenants, history_days, test_days);
+        let (builder, _tenants) = tenant_fleet_parts(scenario.as_ref(), &options, tenants);
         let service = match (wal_dir.as_str(), recover) {
             ("", _) => builder.build(),
             (dir, false) => builder.durable(dir).build(),

@@ -17,7 +17,7 @@ use sag_net::{
     fetch_metrics, parse_metric, ChaosPlan, ChaosProxy, Client, ClientConfig, ClientStats,
     Direction, Fault, NetError, RetryPolicy, Server, ServerConfig,
 };
-use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_parts, Scenario};
+use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_parts, ReplayOptions, Scenario};
 use sag_service::{AuditService, Request, Response, SessionId, TenantId};
 use sag_sim::DayLog;
 use std::io::Write as _;
@@ -29,6 +29,12 @@ const HISTORY_DAYS: u32 = 3;
 
 fn scenario() -> Box<dyn Scenario> {
     find_scenario(SCENARIO).expect("registry lost the baseline scenario")
+}
+
+/// One tenant-day of the baseline: `history_days` of history, then the day
+/// driven over the faulty wire.
+fn one_day(seed: u64, history_days: u32) -> ReplayOptions {
+    ReplayOptions::with_layout(scenario().as_ref(), seed, history_days, 1)
 }
 
 fn zero_solve_micros(result: &mut CycleResult) {
@@ -74,7 +80,7 @@ fn drive_direct(
 /// uses.
 fn control_result() -> CycleResult {
     let scenario = scenario();
-    let mut fleet = tenant_fleet(scenario.as_ref(), SEED, 1, HISTORY_DAYS, 1).unwrap();
+    let mut fleet = tenant_fleet(scenario.as_ref(), &one_day(SEED, HISTORY_DAYS), 1).unwrap();
     let tenant = fleet.tenants.remove(0);
     let day = &tenant.test_days[0];
     let alerts = day.len();
@@ -129,7 +135,7 @@ impl FaultRun {
 /// retrying [`Client`] must converge to a clean result anyway.
 fn run_faulted(plan: ChaosPlan, read_timeout: Duration) -> FaultRun {
     let scenario = scenario();
-    let mut fleet = tenant_fleet(scenario.as_ref(), SEED, 1, HISTORY_DAYS, 1).unwrap();
+    let mut fleet = tenant_fleet(scenario.as_ref(), &one_day(SEED, HISTORY_DAYS), 1).unwrap();
     let tenant = fleet.tenants.remove(0);
     let day = &tenant.test_days[0];
     let server = Server::start(fleet.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
@@ -348,7 +354,8 @@ fn sigkill_equivalent_crash_recovers_dedup_and_converges() {
 
     let control = control_result();
 
-    let (builder, mut fleet) = tenant_fleet_parts(scenario.as_ref(), SEED, 1, HISTORY_DAYS, 1);
+    let (builder, mut fleet) =
+        tenant_fleet_parts(scenario.as_ref(), &one_day(SEED, HISTORY_DAYS), 1);
     let tenant = fleet.remove(0);
     let day = &tenant.test_days[0];
     let budget = scenario.budget_for_day(day.day());
@@ -375,7 +382,7 @@ fn sigkill_equivalent_crash_recovers_dedup_and_converges() {
     // WAL survives.
     drop(server);
 
-    let (builder, _) = tenant_fleet_parts(scenario.as_ref(), SEED, 1, HISTORY_DAYS, 1);
+    let (builder, _) = tenant_fleet_parts(scenario.as_ref(), &one_day(SEED, HISTORY_DAYS), 1);
     let recovered = builder.recover_from(&wal_dir).unwrap();
     let server = Server::start(recovered, "127.0.0.1:0", ServerConfig::default()).unwrap();
     proxy.set_upstream(server.local_addr()).unwrap();
@@ -457,14 +464,14 @@ proptest! {
     ) {
         let scenario = scenario();
         let fleet_seed = SEED + case_seed;
-        let mut fleet = tenant_fleet(scenario.as_ref(), fleet_seed, 1, 2, 1).unwrap();
+        let mut fleet = tenant_fleet(scenario.as_ref(), &one_day(fleet_seed, 2), 1).unwrap();
         let tenant = fleet.tenants.remove(0);
         let day = &tenant.test_days[0];
         let alerts = day.len().min(6);
         let budget = scenario.budget_for_day(day.day());
 
         // Single-delivery reference on a twin service.
-        let mut twin = tenant_fleet(scenario.as_ref(), fleet_seed, 1, 2, 1).unwrap();
+        let mut twin = tenant_fleet(scenario.as_ref(), &one_day(fleet_seed, 2), 1).unwrap();
         let control = drive_direct(&mut twin.service, &tenant.id, day, budget, alerts);
 
         let server = Server::start(fleet.service, "127.0.0.1:0", ServerConfig::default()).unwrap();

@@ -4,9 +4,12 @@
 //! service), backpressure (over-quota tenants shed, others progress), and
 //! observability (the metrics endpoint's counters match the replies).
 
+use sag_core::engine::BudgetAccounting;
 use sag_net::codec::{encode_request, read_frame, write_frame, write_handshake};
 use sag_net::{fetch_metrics, parse_metric, Client, Reply, Server, ServerConfig, WireError};
-use sag_scenarios::{find_scenario, tenant_fleet, tenant_fleet_cluster_parts, Scenario};
+use sag_scenarios::{
+    find_scenario, tenant_fleet, tenant_fleet_cluster_parts, ReplayOptions, Scenario,
+};
 use sag_service::{AuditService, Request, Response, TenantId};
 use sag_sim::DayLog;
 use std::io::Write as _;
@@ -22,11 +25,22 @@ fn scenario() -> Box<dyn Scenario> {
     find_scenario(SCENARIO).expect("registry lost the baseline scenario")
 }
 
-/// Two identical builds of the same fleet: one to serve, one to drive
-/// directly in-process as the reference.
-fn twin_fleets() -> (sag_scenarios::TenantFleet, sag_scenarios::TenantFleet) {
+/// The fleet layout every test serves, under `accounting`.
+fn fleet_options(accounting: BudgetAccounting) -> ReplayOptions {
+    let mut options =
+        ReplayOptions::with_layout(scenario().as_ref(), SEED, HISTORY_DAYS, TEST_DAYS);
+    options.config.accounting = accounting;
+    options
+}
+
+/// Two identical builds of the same fleet under `accounting`: one to
+/// serve, one to drive directly in-process as the reference.
+fn twin_fleets(
+    accounting: BudgetAccounting,
+) -> (sag_scenarios::TenantFleet, sag_scenarios::TenantFleet) {
     let scenario = scenario();
-    let make = || tenant_fleet(scenario.as_ref(), SEED, TENANTS, HISTORY_DAYS, TEST_DAYS).unwrap();
+    let options = fleet_options(accounting);
+    let make = || tenant_fleet(scenario.as_ref(), &options, TENANTS).unwrap();
     (make(), make())
 }
 
@@ -65,9 +79,10 @@ fn zero_solve_micros(result: &mut sag_core::CycleResult) {
     }
 }
 
-#[test]
-fn network_replay_is_bitwise_identical_to_direct_handle() {
-    let (served, mut direct) = twin_fleets();
+/// Serve the fleet under `accounting` over the wire and hold every
+/// tenant-day to the same day driven directly through the service.
+fn assert_network_replay_matches_direct(accounting: BudgetAccounting) {
+    let (served, mut direct) = twin_fleets(accounting);
     let scenario = scenario();
     let server = Server::start(served.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
@@ -100,7 +115,7 @@ fn network_replay_is_bitwise_identical_to_direct_handle() {
             assert_eq!(
                 over_wire,
                 reference,
-                "tenant {} day {} diverged over the wire",
+                "tenant {} day {} diverged over the wire [{accounting:?}]",
                 tenant.id,
                 day.day()
             );
@@ -149,6 +164,16 @@ fn network_replay_is_bitwise_identical_to_direct_handle() {
 }
 
 #[test]
+fn network_replay_is_bitwise_identical_to_direct_handle() {
+    for accounting in [
+        BudgetAccounting::Expected,
+        BudgetAccounting::Sampled { seed: 77 },
+    ] {
+        assert_network_replay_matches_direct(accounting);
+    }
+}
+
+#[test]
 fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
     // The cluster front door must be wire-invisible: the same fleet served
     // behind 1, 2, or 4 shards answers every request with the same bytes
@@ -157,7 +182,7 @@ fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
     // identity cluster-wide.
     let scenario = scenario();
     let mut reference = {
-        let (_, mut direct) = twin_fleets();
+        let (_, mut direct) = twin_fleets(BudgetAccounting::Expected);
         let mut results = Vec::new();
         for tenant in &direct.tenants.clone() {
             for day in &tenant.test_days {
@@ -174,10 +199,8 @@ fn sharded_server_is_bitwise_identical_to_the_unsharded_one() {
     for shards in [1usize, 2, 4] {
         let (builder, tenants) = tenant_fleet_cluster_parts(
             scenario.as_ref(),
-            SEED,
+            &fleet_options(BudgetAccounting::Expected),
             TENANTS,
-            HISTORY_DAYS,
-            TEST_DAYS,
             shards,
         );
         let cluster = builder.build().unwrap();
@@ -233,7 +256,7 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
     // Metrics consistency at the source: drive a scenario through a
     // counter-instrumented service and check the exported counters against
     // the CycleResults' own solver-work totals.
-    let (fleet, _) = twin_fleets();
+    let (fleet, _) = twin_fleets(BudgetAccounting::Expected);
     let scenario = scenario();
     let mut service = fleet.service;
     let counters = std::sync::Arc::new(sag_service::ServiceCounters::new());
@@ -289,7 +312,7 @@ fn counters_match_cycle_totals_for_a_replayed_scenario() {
 
 #[test]
 fn over_quota_tenant_sheds_while_others_progress() {
-    let (fleet, _) = twin_fleets();
+    let (fleet, _) = twin_fleets(BudgetAccounting::Expected);
     let scenario = scenario();
     let config = ServerConfig {
         queue_capacity: 256,
@@ -403,7 +426,7 @@ fn over_quota_tenant_sheds_while_others_progress() {
 
 #[test]
 fn wire_errors_are_structured_and_the_stream_survives_bad_payloads() {
-    let (fleet, _) = twin_fleets();
+    let (fleet, _) = twin_fleets(BudgetAccounting::Expected);
     let server = Server::start(fleet.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
 
@@ -549,8 +572,12 @@ fn pipelined_replies_keep_request_order_across_shards() {
     // before either shard replies. The replies must still come back in send
     // order.
     let scenario = scenario();
-    let (builder, tenants) =
-        tenant_fleet_cluster_parts(scenario.as_ref(), SEED, 8, HISTORY_DAYS, TEST_DAYS, 2);
+    let (builder, tenants) = tenant_fleet_cluster_parts(
+        scenario.as_ref(),
+        &fleet_options(BudgetAccounting::Expected),
+        8,
+        2,
+    );
     let router = builder.router();
     let (on_0, on_1): (Vec<_>, Vec<_>) = tenants.iter().partition(|t| router.shard_for(&t.id) == 0);
     let (cheap, slow) = if on_0.len() >= on_1.len() {
@@ -676,7 +703,7 @@ fn pipelined_replies_keep_request_order_across_shards() {
 
 #[test]
 fn a_peer_that_never_reads_cannot_stall_its_shard() {
-    let (fleet, _) = twin_fleets();
+    let (fleet, _) = twin_fleets(BudgetAccounting::Expected);
     let scenario = scenario();
     let server = Server::start(fleet.service, "127.0.0.1:0", ServerConfig::default()).unwrap();
     let addr = server.local_addr();
@@ -784,7 +811,7 @@ fn a_peer_that_never_reads_cannot_stall_its_shard() {
 
 #[test]
 fn queue_depth_never_wraps_under_a_pipelined_flood() {
-    let (fleet, _) = twin_fleets();
+    let (fleet, _) = twin_fleets(BudgetAccounting::Expected);
     let scenario = scenario();
     let config = ServerConfig::default();
     let capacity = config.queue_capacity as f64;

@@ -19,6 +19,11 @@
 //!   the service curve of the `scaling` section of `BENCH_2.json`, and —
 //!   because every tenant's cycles are pure functions of its own stream —
 //!   its results are bitwise identical to replaying each tenant serially.
+//!
+//! The fleet builders ([`tenant_fleet`], [`tenant_fleet_parts`],
+//! [`tenant_fleet_cluster_parts`]) take the same [`ReplayOptions`], so a
+//! fleet served over a socket or a cluster runs the engine configuration —
+//! accounting mode included — that a replay of the same options runs.
 
 use crate::scenario::Scenario;
 use sag_cluster::ClusterBuilder;
@@ -155,6 +160,22 @@ impl ReplayOptions {
         }
     }
 
+    /// The scenario's engine configuration over an explicit evaluation
+    /// layout: `history_days` of history ahead of `test_days` test days.
+    #[must_use]
+    pub fn with_layout(
+        scenario: &dyn Scenario,
+        seed: u64,
+        history_days: u32,
+        test_days: u32,
+    ) -> Self {
+        ReplayOptions {
+            history_days,
+            test_days,
+            ..ReplayOptions::new(scenario, seed)
+        }
+    }
+
     /// The recorded log of stream `seed`: history and test days together.
     fn log(&self, scenario: &dyn Scenario, seed: u64) -> AlertLog {
         AlertLog::new(scenario.generate_days(seed, self.history_days + self.test_days))
@@ -209,8 +230,8 @@ pub struct StreamingRun {
     pub run: ScenarioRun,
     /// Wall-clock latency of each [`push_alert`](sag_core::DaySession::push_alert)
     /// call, in nanoseconds, in arrival order across all replayed days. This
-    /// is the full decision latency — forecast update, both worlds' SSE
-    /// solves, signaling scheme, budget charge — not just the solve time the
+    /// is the full decision latency — forecast update, SSE solve,
+    /// signaling scheme, budget charge — not just the solve time the
     /// [`sag_core::AlertOutcome::solve_micros`] field records.
     pub push_nanos: Vec<u64>,
 }
@@ -384,11 +405,12 @@ pub struct FleetTenant {
 /// `sag-net` server binary, the network load generator, and the loopback
 /// equivalence tests.
 ///
-/// Tenant `t` is named `"{scenario}-t{t}"` and streams days seeded
-/// `seed + t`, the same convention as [`run_scenario_service`], so results
-/// line up across replay modes. Unlike the batch driver (where rolling
-/// history rides on each [`ServiceJob`]), every tenant registers its
-/// `history_days` of history up front and all test days replay against
+/// Tenant `t` is named `"{scenario}-t{t}"`, runs the options' engine
+/// configuration and streams days seeded `options.seed + t`, the same
+/// convention as [`run_scenario_service`], so results line up across replay
+/// modes. Unlike the batch driver (where rolling history rides on each
+/// [`ServiceJob`]), every tenant registers its `options.history_days` of
+/// history up front and all `options.test_days` test days replay against
 /// that fixed window — the convention a wire client can actually follow,
 /// since [`sag_service::Request::OpenDay`] sources history from the
 /// service, not the request.
@@ -400,21 +422,19 @@ pub struct TenantFleet {
     pub tenants: Vec<FleetTenant>,
 }
 
-/// Build a [`TenantFleet`]: `tenants` instances of `scenario`, each with
-/// `history_days` of registered history and `test_days` recorded days to
-/// stream.
+/// Build a [`TenantFleet`]: `tenants` instances of `scenario` under
+/// `options`, each with `options.history_days` of registered history and
+/// `options.test_days` recorded days to stream.
 ///
 /// # Errors
 ///
 /// Propagates service construction and engine-configuration errors.
 pub fn tenant_fleet(
     scenario: &dyn Scenario,
-    seed: u64,
+    options: &ReplayOptions,
     tenants: usize,
-    history_days: u32,
-    test_days: u32,
 ) -> std::result::Result<TenantFleet, ServiceError> {
-    let (builder, fleet) = tenant_fleet_parts(scenario, seed, tenants, history_days, test_days);
+    let (builder, fleet) = tenant_fleet_parts(scenario, options, tenants);
     Ok(TenantFleet {
         service: builder.build()?,
         tenants: fleet,
@@ -430,15 +450,12 @@ pub fn tenant_fleet(
 #[must_use]
 pub fn tenant_fleet_parts(
     scenario: &dyn Scenario,
-    seed: u64,
+    options: &ReplayOptions,
     tenants: usize,
-    history_days: u32,
-    test_days: u32,
 ) -> (ServiceBuilder, Vec<FleetTenant>) {
     let mut builder = AuditService::builder();
     let mut fleet = Vec::with_capacity(tenants);
-    for (tenant, engine, history) in fleet_tenants(scenario, seed, tenants, history_days, test_days)
-    {
+    for (tenant, engine, history) in fleet_tenants(scenario, options, tenants) {
         builder = builder.tenant_with_history(tenant.id.clone(), engine, history);
         fleet.push(tenant);
     }
@@ -459,16 +476,13 @@ pub fn tenant_fleet_parts(
 #[must_use]
 pub fn tenant_fleet_cluster_parts(
     scenario: &dyn Scenario,
-    seed: u64,
+    options: &ReplayOptions,
     tenants: usize,
-    history_days: u32,
-    test_days: u32,
     shards: usize,
 ) -> (ClusterBuilder, Vec<FleetTenant>) {
     let mut builder = ClusterBuilder::new(shards);
     let mut fleet = Vec::with_capacity(tenants);
-    for (tenant, engine, history) in fleet_tenants(scenario, seed, tenants, history_days, test_days)
-    {
+    for (tenant, engine, history) in fleet_tenants(scenario, options, tenants) {
         builder = builder.tenant_with_history(tenant.id.clone(), engine, history);
         fleet.push(tenant);
     }
@@ -476,25 +490,30 @@ pub fn tenant_fleet_cluster_parts(
 }
 
 /// The tenants both fleet builders register: tenant `t` is named by
-/// [`tenant_id`], streams days seeded `seed + t`, and splits them into
-/// `history_days` of registered history (returned with the tenant's
-/// engine) and `test_days` to stream.
+/// [`tenant_id`], runs `options.config`, streams days seeded
+/// `options.seed + t`, and splits them into `options.history_days` of
+/// registered history (returned with the tenant's engine) and
+/// `options.test_days` to stream.
 fn fleet_tenants<'a>(
     scenario: &'a dyn Scenario,
-    seed: u64,
+    options: &'a ReplayOptions,
     tenants: usize,
-    history_days: u32,
-    test_days: u32,
 ) -> impl Iterator<Item = (FleetTenant, EngineBuilder, Vec<DayLog>)> + 'a {
-    let config = scenario.engine_config();
     (0..tenants).map(move |t| {
-        let mut days = scenario.generate_days(seed + t as u64, history_days + test_days);
-        let test_days = days.split_off(history_days as usize);
+        let mut days = scenario.generate_days(
+            options.seed + t as u64,
+            options.history_days + options.test_days,
+        );
+        let test_days = days.split_off(options.history_days as usize);
         let tenant = FleetTenant {
             id: tenant_id(scenario, t),
             test_days,
         };
-        (tenant, EngineBuilder::from_config(config.clone()), days)
+        (
+            tenant,
+            EngineBuilder::from_config(options.config.clone()),
+            days,
+        )
     })
 }
 
@@ -503,23 +522,14 @@ mod tests {
     use super::*;
     use crate::library::{BudgetShocks, PaperBaseline};
 
-    /// `scenario`'s options at an explicit seed and evaluation layout.
-    fn sized(
-        scenario: &dyn Scenario,
-        seed: u64,
-        history_days: u32,
-        test_days: u32,
-    ) -> ReplayOptions {
-        ReplayOptions {
-            history_days,
-            test_days,
-            ..ReplayOptions::new(scenario, seed)
-        }
-    }
-
     #[test]
     fn baseline_run_produces_one_cycle_per_test_day() {
-        let run = run_scenario(&PaperBaseline, &sized(&PaperBaseline, 11, 6, 3), 1).unwrap();
+        let run = run_scenario(
+            &PaperBaseline,
+            &ReplayOptions::with_layout(&PaperBaseline, 11, 6, 3),
+            1,
+        )
+        .unwrap();
         assert_eq!(run.cycles.len(), 3);
         assert!(run.alerts() > 300);
         assert!(run.alerts_per_sec() > 0.0);
@@ -532,7 +542,7 @@ mod tests {
 
     #[test]
     fn streaming_run_matches_the_batch_driver_bitwise() {
-        let options = sized(&PaperBaseline, 19, 5, 2);
+        let options = ReplayOptions::with_layout(&PaperBaseline, 19, 5, 2);
         let batch = run_scenario(&PaperBaseline, &options, 1).unwrap();
         let streamed = stream_scenario(&PaperBaseline, &options).unwrap();
         assert_eq!(streamed.push_nanos.len(), batch.alerts());
@@ -552,8 +562,13 @@ mod tests {
         // Three tenants on the baseline regime, concurrent over a 2-worker
         // pool, against three serial single-tenant replays on the same
         // seeds: bitwise identical.
-        let service =
-            run_scenario_service(&PaperBaseline, &sized(&PaperBaseline, 23, 5, 2), 3, 2).unwrap();
+        let service = run_scenario_service(
+            &PaperBaseline,
+            &ReplayOptions::with_layout(&PaperBaseline, 23, 5, 2),
+            3,
+            2,
+        )
+        .unwrap();
         assert_eq!(service.cycles.len(), 3);
         assert!(service.alerts() > 500);
         assert!(service.alerts_per_sec() > 0.0);
@@ -561,7 +576,7 @@ mod tests {
         for (t, tenant_cycles) in service.cycles.iter().enumerate() {
             let serial = run_scenario(
                 &PaperBaseline,
-                &sized(&PaperBaseline, 23 + t as u64, 5, 2),
+                &ReplayOptions::with_layout(&PaperBaseline, 23 + t as u64, 5, 2),
                 1,
             )
             .unwrap();
@@ -579,7 +594,12 @@ mod tests {
 
     #[test]
     fn budget_shocks_apply_the_schedule() {
-        let run = run_scenario(&BudgetShocks, &sized(&BudgetShocks, 7, 6, 4), 1).unwrap();
+        let run = run_scenario(
+            &BudgetShocks,
+            &ReplayOptions::with_layout(&BudgetShocks, 7, 6, 4),
+            1,
+        )
+        .unwrap();
         // Test days are 6..10: 6 % 4 == 2 -> surge (x1.5), 8 % 4 == 0 ->
         // shock (x0.3), 7 and 9 run at the base budget.
         let by_day: Vec<(u32, f64)> = run

@@ -9,9 +9,10 @@
 
 use proptest::prelude::*;
 use sag_cluster::{shard_wal_dir, ClusterService, ShardRouter};
+use sag_core::engine::BudgetAccounting;
 use sag_core::CycleResult;
 use sag_scenarios::{
-    registry, tenant_fleet_cluster_parts, tenant_fleet_parts, FleetTenant, Scenario,
+    registry, tenant_fleet_cluster_parts, tenant_fleet_parts, FleetTenant, ReplayOptions, Scenario,
 };
 use sag_service::{DurabilityOptions, Request, Response, SessionId, TenantId};
 
@@ -20,6 +21,19 @@ const TENANTS: usize = 5;
 const HISTORY_DAYS: u32 = 3;
 const TEST_DAYS: u32 = 2;
 const SHARD_COUNTS: [usize; 4] = [1, 2, 4, 8];
+/// Both budget-accounting modes; `Sampled` is seeded, so the bitwise
+/// discipline applies to it too.
+const ACCOUNTING: [BudgetAccounting; 2] = [
+    BudgetAccounting::Expected,
+    BudgetAccounting::Sampled { seed: 77 },
+];
+
+/// The fleet layout every suite drives, under `accounting`.
+fn fleet_options(scenario: &dyn Scenario, accounting: BudgetAccounting) -> ReplayOptions {
+    let mut options = ReplayOptions::with_layout(scenario, SEED, HISTORY_DAYS, TEST_DAYS);
+    options.config.accounting = accounting;
+    options
+}
 
 /// Zero the wall-clock timing field so results can be compared exactly.
 fn untimed(mut cycle: CycleResult) -> CycleResult {
@@ -61,8 +75,12 @@ fn finish_day(cluster: &mut ClusterService, session: SessionId) -> CycleResult {
 
 /// The unsharded ground truth: the same fleet on one `AuditService`,
 /// each tenant's test days driven straight through `handle`.
-fn unsharded_reference(scenario: &dyn Scenario) -> Vec<Vec<CycleResult>> {
-    let (builder, fleet) = tenant_fleet_parts(scenario, SEED, TENANTS, HISTORY_DAYS, TEST_DAYS);
+fn unsharded_reference(
+    scenario: &dyn Scenario,
+    accounting: BudgetAccounting,
+) -> Vec<Vec<CycleResult>> {
+    let (builder, fleet) =
+        tenant_fleet_parts(scenario, &fleet_options(scenario, accounting), TENANTS);
     let mut service = builder.workers(0).build().expect("control build");
     fleet
         .iter()
@@ -139,15 +157,23 @@ fn drive_cluster_interleaved(
     results
 }
 
-fn assert_cluster_equivalence(scenario: &dyn Scenario, wal_dir: Option<&std::path::Path>) {
-    let reference = unsharded_reference(scenario);
+fn assert_cluster_equivalence(
+    scenario: &dyn Scenario,
+    accounting: BudgetAccounting,
+    wal_dir: Option<&std::path::Path>,
+) {
+    let reference = unsharded_reference(scenario, accounting);
+    let options = fleet_options(scenario, accounting);
     for shards in SHARD_COUNTS {
-        let (builder, fleet) =
-            tenant_fleet_cluster_parts(scenario, SEED, TENANTS, HISTORY_DAYS, TEST_DAYS, shards);
+        let (builder, fleet) = tenant_fleet_cluster_parts(scenario, &options, TENANTS, shards);
         let builder = builder.workers(0).counters();
         let builder = match wal_dir {
             Some(dir) => {
-                let dir = dir.join(format!("{}-s{shards}", scenario.name()));
+                let mode = match accounting {
+                    BudgetAccounting::Expected => "expected",
+                    BudgetAccounting::Sampled { .. } => "sampled",
+                };
+                let dir = dir.join(format!("{}-{mode}-s{shards}", scenario.name()));
                 let _ = std::fs::remove_dir_all(&dir);
                 builder.durable_with(dir, DurabilityOptions::no_fsync())
             }
@@ -169,7 +195,7 @@ fn assert_cluster_equivalence(scenario: &dyn Scenario, wal_dir: Option<&std::pat
         assert_eq!(
             results,
             reference,
-            "{} [wal={}]: {shards}-shard cluster diverged from the unsharded service",
+            "{} [{accounting:?}, wal={}]: {shards}-shard cluster diverged from the unsharded service",
             scenario.name(),
             wal_dir.is_some(),
         );
@@ -193,7 +219,9 @@ fn assert_cluster_equivalence(scenario: &dyn Scenario, wal_dir: Option<&std::pat
 #[test]
 fn sharded_results_match_the_unsharded_service_registry_wide() {
     for scenario in registry() {
-        assert_cluster_equivalence(scenario.as_ref(), None);
+        for accounting in ACCOUNTING {
+            assert_cluster_equivalence(scenario.as_ref(), accounting, None);
+        }
     }
 }
 
@@ -204,7 +232,9 @@ fn sharded_results_match_the_unsharded_service_with_the_wal_on() {
         std::process::id()
     ));
     for scenario in registry() {
-        assert_cluster_equivalence(scenario.as_ref(), Some(&root));
+        for accounting in ACCOUNTING {
+            assert_cluster_equivalence(scenario.as_ref(), accounting, Some(&root));
+        }
     }
     let _ = std::fs::remove_dir_all(&root);
 }
@@ -215,14 +245,15 @@ fn sharded_results_match_the_unsharded_service_with_the_wal_on() {
 /// control.
 fn assert_single_shard_crash_recovery(scenario: &dyn Scenario, root: &std::path::Path) {
     const SHARDS: usize = 4;
-    let reference = unsharded_reference(scenario);
+    let reference = unsharded_reference(scenario, BudgetAccounting::Expected);
+    let fleet_options = fleet_options(scenario, BudgetAccounting::Expected);
     let dir = root.join(scenario.name());
     let _ = std::fs::remove_dir_all(&dir);
     let options = DurabilityOptions::no_fsync();
 
     let parts = || {
         let (builder, fleet) =
-            tenant_fleet_cluster_parts(scenario, SEED, TENANTS, HISTORY_DAYS, TEST_DAYS, SHARDS);
+            tenant_fleet_cluster_parts(scenario, &fleet_options, TENANTS, SHARDS);
         (
             builder.workers(0).counters().durable_with(&dir, options),
             fleet,

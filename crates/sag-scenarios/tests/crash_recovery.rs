@@ -215,10 +215,10 @@ fn assert_crash_recovery_equivalence(scenario: &dyn Scenario, accounting: Budget
     }
 }
 
-/// The default-configuration leg: `Expected` accounting and the paper's
-/// solver dispatch (closed form for one type, the LP method otherwise).
+/// The default-configuration leg: `Expected` accounting, where every alert
+/// is charged its expected audit cost.
 #[test]
-fn crash_recovery_matches_uninterrupted_on_the_auto_backend() {
+fn crash_recovery_matches_uninterrupted_under_expected_accounting() {
     for scenario in registry() {
         assert_crash_recovery_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }

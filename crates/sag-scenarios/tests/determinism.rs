@@ -32,9 +32,7 @@ fn assert_sharding_invariant(
     history_days: u32,
     days: u32,
 ) {
-    let mut options = ReplayOptions::new(scenario, seed);
-    options.history_days = history_days;
-    options.test_days = days - history_days;
+    let mut options = ReplayOptions::with_layout(scenario, seed, history_days, days - history_days);
     options.config.accounting = accounting;
     let jobs = options.test_days as usize;
     assert!(jobs >= 4, "need several jobs to shard");

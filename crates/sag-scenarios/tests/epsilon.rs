@@ -40,9 +40,7 @@ fn replay(
     history_days: u32,
     days: u32,
 ) -> Vec<CycleResult> {
-    let mut options = ReplayOptions::new(scenario, seed);
-    options.history_days = history_days;
-    options.test_days = days - history_days;
+    let mut options = ReplayOptions::with_layout(scenario, seed, history_days, days - history_days);
     options.config.accounting = accounting;
     if let Some(epsilon) = epsilon {
         options.config.epsilon = epsilon;

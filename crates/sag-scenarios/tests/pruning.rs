@@ -33,9 +33,7 @@ fn replay(
     history_days: u32,
     days: u32,
 ) -> Vec<CycleResult> {
-    let mut options = ReplayOptions::new(scenario, seed);
-    options.history_days = history_days;
-    options.test_days = days - history_days;
+    let mut options = ReplayOptions::with_layout(scenario, seed, history_days, days - history_days);
     options.config.accounting = accounting;
     options.config.pruning = pruning;
     run_scenario(scenario, &options, 1)
@@ -92,9 +90,7 @@ fn pruning_is_result_identical_across_the_whole_registry() {
 fn pruning_actually_skips_most_candidate_lps() {
     for name in ["paper-baseline", "multi-site", "metro-grid"] {
         let scenario = sag_scenarios::find_scenario(name).expect("registered");
-        let mut options = ReplayOptions::new(scenario.as_ref(), 11);
-        options.history_days = 3;
-        options.test_days = 1;
+        let options = ReplayOptions::with_layout(scenario.as_ref(), 11, 3, 1);
         let run = run_scenario(scenario.as_ref(), &options, 1).expect("replays");
         let fraction = run.sse_totals().pruned_lp_fraction();
         assert!(

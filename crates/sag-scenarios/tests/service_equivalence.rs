@@ -28,9 +28,7 @@ fn untimed(mut cycle: CycleResult) -> CycleResult {
 /// The scenario's options at `seed` on the shared layout, pinned to
 /// `accounting`.
 fn options(scenario: &dyn Scenario, seed: u64, accounting: BudgetAccounting) -> ReplayOptions {
-    let mut options = ReplayOptions::new(scenario, seed);
-    options.history_days = HISTORY_DAYS;
-    options.test_days = TEST_DAYS;
+    let mut options = ReplayOptions::with_layout(scenario, seed, HISTORY_DAYS, TEST_DAYS);
     options.config.accounting = accounting;
     options
 }
@@ -151,10 +149,10 @@ fn assert_interleaved_equivalence(scenario: &dyn Scenario, accounting: BudgetAcc
     );
 }
 
-/// The default-configuration leg: `Expected` accounting and the paper's
-/// solver dispatch (closed form for one type, the LP method otherwise).
+/// The default-configuration leg: `Expected` accounting, where every alert
+/// is charged its expected audit cost.
 #[test]
-fn pool_threaded_service_replay_matches_serial_on_the_auto_backend() {
+fn pool_threaded_service_replay_matches_serial_under_expected_accounting() {
     for scenario in registry() {
         assert_pool_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }
@@ -167,10 +165,10 @@ fn pool_threaded_service_replay_matches_serial_under_sampled_accounting() {
     }
 }
 
-/// The default-configuration leg: `Expected` accounting and the paper's
-/// solver dispatch (closed form for one type, the LP method otherwise).
+/// The default-configuration leg: `Expected` accounting, where every alert
+/// is charged its expected audit cost.
 #[test]
-fn interleaved_owned_sessions_match_serial_on_the_auto_backend() {
+fn interleaved_owned_sessions_match_serial_under_expected_accounting() {
     for scenario in registry() {
         assert_interleaved_equivalence(scenario.as_ref(), BudgetAccounting::Expected);
     }

@@ -27,9 +27,7 @@ fn assert_streaming_equivalence(
     history_days: u32,
     days: u32,
 ) {
-    let mut options = ReplayOptions::new(scenario, seed);
-    options.history_days = history_days;
-    options.test_days = days - history_days;
+    let mut options = ReplayOptions::with_layout(scenario, seed, history_days, days - history_days);
     options.config.accounting = accounting;
     let engine = AuditCycleEngine::new(options.config.clone()).expect("scenario engine");
     let log = AlertLog::new(scenario.generate_days(seed, days));
@@ -93,23 +91,31 @@ fn assert_streaming_equivalence(
         .collect();
     assert_eq!(streamed, timed, "{label}: stream_scenario disagrees");
 
-    // Sampled signals split the two worlds' budgets, so the online world
-    // runs its own LP chain; the legs above must have covered it.
+    // A sampled leg must really charge sampled signals: its budget
+    // trajectory departs from the same days streamed under `Expected`, so
+    // the legs above covered the sampled charges, not a copy of the
+    // expected-cost path.
     if accounting != BudgetAccounting::Expected {
+        let mut expected = options.clone();
+        expected.config.accounting = BudgetAccounting::Expected;
+        let charged_in_expectation = run_scenario(scenario, &expected, 1)
+            .expect("expected-accounting replay")
+            .cycles;
         assert!(
             streamed
                 .iter()
                 .flat_map(|c| &c.outcomes)
-                .any(|o| o.budget_after_online != o.budget_after_ossp),
-            "{label}: the online world never diverged"
+                .zip(charged_in_expectation.iter().flat_map(|c| &c.outcomes))
+                .any(|(s, e)| s.budget_after_ossp != e.budget_after_ossp),
+            "{label}: sampled budgets never left the expected-cost trajectory"
         );
     }
 }
 
-/// The default-configuration leg: `Expected` accounting and the paper's
-/// solver dispatch (closed form for one type, the LP method otherwise).
+/// The default-configuration leg: `Expected` accounting, where every alert
+/// is charged its expected audit cost.
 #[test]
-fn every_registered_scenario_streams_identically_on_the_auto_backend() {
+fn every_registered_scenario_streams_identically_under_expected_accounting() {
     for scenario in registry() {
         assert_streaming_equivalence(scenario.as_ref(), BudgetAccounting::Expected, 2026, 4, 7);
     }

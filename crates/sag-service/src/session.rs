@@ -128,16 +128,10 @@ impl SessionHandle {
         self.session.outcomes()
     }
 
-    /// Remaining budget in the OSSP (signaling) world.
+    /// Remaining budget after the alerts pushed so far.
     #[must_use]
     pub fn remaining_budget_ossp(&self) -> f64 {
         self.session.remaining_budget_ossp()
-    }
-
-    /// Remaining budget in the online-SSE world.
-    #[must_use]
-    pub fn remaining_budget_online(&self) -> f64 {
-        self.session.remaining_budget_online()
     }
 
     /// Commit the warning decision for one arriving alert (see

@@ -278,7 +278,7 @@ fn recovered_open_session_state_is_bitwise_identical_mid_day() {
     }
     let live = service.session(session).expect("open");
     let live_outcomes = untimed_outcomes(live.outcomes());
-    let live_budgets = (live.remaining_budget_ossp(), live.remaining_budget_online());
+    let live_budget = live.remaining_budget_ossp();
     drop(service);
 
     let recovered = builder_for(history)
@@ -286,13 +286,7 @@ fn recovered_open_session_state_is_bitwise_identical_mid_day() {
         .expect("recovers");
     let handle = recovered.session(session).expect("recovered");
     assert_eq!(untimed_outcomes(handle.outcomes()), live_outcomes);
-    assert_eq!(
-        (
-            handle.remaining_budget_ossp(),
-            handle.remaining_budget_online()
-        ),
-        live_budgets
-    );
+    assert_eq!(handle.remaining_budget_ossp(), live_budget);
 }
 
 #[test]
@@ -486,7 +480,7 @@ fn out_of_range_alert_type_is_rejected_before_logging() {
     let live = service.session(session).expect("open");
     assert_eq!(live.alerts_processed(), test_day.len());
     let live_outcomes = untimed_outcomes(live.outcomes());
-    let live_budgets = (live.remaining_budget_ossp(), live.remaining_budget_online());
+    let live_budget = live.remaining_budget_ossp();
     drop(service);
 
     let recovered = builder_for(history)
@@ -494,13 +488,7 @@ fn out_of_range_alert_type_is_rejected_before_logging() {
         .expect("recovers");
     let handle = recovered.session(session).expect("recovered");
     assert_eq!(untimed_outcomes(handle.outcomes()), live_outcomes);
-    assert_eq!(
-        (
-            handle.remaining_budget_ossp(),
-            handle.remaining_budget_online()
-        ),
-        live_budgets
-    );
+    assert_eq!(handle.remaining_budget_ossp(), live_budget);
 }
 
 #[test]

@@ -106,9 +106,8 @@ fn main() -> sag::Result<()> {
         .expect("mid-day session recovered");
     let done = handle.alerts_processed();
     println!(
-        "recovered {session}: {done} alerts already committed, budgets ({:.2}, {:.2})",
-        handle.remaining_budget_ossp(),
-        handle.remaining_budget_online()
+        "recovered {session}: {done} alerts already committed, budget {:.2} left",
+        handle.remaining_budget_ossp()
     );
     assert_eq!(done, kill_at, "recovery must land on the committed state");
 
